@@ -12,13 +12,19 @@ namespace privateclean {
 namespace io {
 
 /// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected), the checksum
-/// used by the release MANIFEST. Software table implementation; the
-/// release files are small enough that hardware CRC is not worth a
-/// dependency.
+/// used by the release MANIFEST. On x86-64 CPUs with SSE4.2 it runs on
+/// the `crc32` instruction (chosen once at run time by CPU detection);
+/// elsewhere it falls back to the byte-table implementation below. Both
+/// produce identical values.
 uint32_t Crc32c(std::string_view data);
 /// Incremental form: extends `crc` (a previous Crc32c result) with more
 /// bytes, so a file can be checksummed in chunks.
 uint32_t Crc32cExtend(uint32_t crc, std::string_view data);
+/// The portable byte-table implementation: the fallback path on CPUs
+/// without SSE4.2 and the oracle the hardware path is tested against.
+uint32_t Crc32cExtendTable(uint32_t crc, std::string_view data);
+/// True when Crc32c/Crc32cExtend run on the hardware instruction.
+bool Crc32cUsesHardware();
 
 /// Formats a CRC as fixed-width lowercase hex (8 digits) and parses it
 /// back; the MANIFEST stores checksums in this form.

@@ -3,14 +3,18 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
+#include <cstring>
 #include <filesystem>
 #include <map>
-#include <tuple>
+#include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "common/failpoint.h"
 #include "common/io_util.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "table/csv.h"
 #include "table/dictionary.h"
 #include "table/table_builder.h"
@@ -22,13 +26,17 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr char kManifestFile[] = "MANIFEST";
+/// The relation as CSV: format v2 only. Format v3 stores one binary
+/// segment per column instead (SegmentFileName).
 constexpr char kDataFile[] = "data.csv";
 constexpr char kMetaFile[] = "meta.csv";
 /// First line of every MANIFEST; anything else is not a release manifest.
 constexpr char kManifestMagic[] = "%PCLEAN-RELEASE";
-constexpr int kFormatVersion = 2;
-/// All release files encode NULL distinctly from the empty string.
-/// data.csv historically used the writer's default (empty unquoted
+/// The writer always produces format 3; readers also accept format 2.
+constexpr int kFormatVersion = 3;
+constexpr int kCsvFormatVersion = 2;
+/// All CSV release files encode NULL distinctly from the empty string.
+/// v2 data.csv historically used the writer's default (empty unquoted
 /// field), which conflated a NULL string entry with "" on read; both
 /// sides now pass the same literal. Reads stay backward compatible:
 /// unquoted empty fields still parse as NULL under any null literal.
@@ -79,10 +87,203 @@ std::string DomainFileName(size_t index) {
 
 /// Dictionary file for the i-th discrete attribute (same counter as
 /// DomainFileName): the writer's interned string values in code order.
-/// Additive to format v2 — releases written before dictionary files
-/// simply lack the entries, and readers skip the rebind.
+/// Required in format v3, where segment codes index it directly. In v2
+/// it is optional: releases written before dictionary files simply lack
+/// the entries, and readers keep the CSV parse order.
 std::string DictFileName(size_t index) {
   return "dict_" + std::to_string(index) + ".csv";
+}
+
+/// Format-v3 segment of the i-th column in schema order.
+std::string SegmentFileName(size_t index) {
+  return "column_" + std::to_string(index) + ".bin";
+}
+
+// --- Column segments (format v3) -------------------------------------------
+//
+// A segment is the column's dense payload followed by its validity
+// bitmap, both little-endian:
+//
+//   rows x value   uint32_t dictionary codes (string), int64_t, or double
+//   bitmap         ceil(rows / 8) bytes, bit r%8 of byte r/8 set iff row
+//                  r is valid (LSB first); padding bits are zero
+//
+// A null row's value is canonical: kNullCode for strings, all-zero bytes
+// for numbers. The decoder rejects any other encoding, so a relation
+// has exactly one segment form and release bytes never depend on how
+// the column was built.
+
+/// Bytes per value in a segment.
+size_t SegmentValueWidth(ValueType type) {
+  return type == ValueType::kString ? sizeof(uint32_t) : sizeof(uint64_t);
+}
+
+/// Same-width unsigned integer carrying a value's bytes.
+template <typename T>
+using BitsOf = std::conditional_t<sizeof(T) == 4, uint32_t, uint64_t>;
+
+template <typename T>
+void StoreLittleEndian(char* dst, T value) {
+  BitsOf<T> bits;
+  std::memcpy(&bits, &value, sizeof bits);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, &bits, sizeof bits);
+  } else {
+    for (size_t b = 0; b < sizeof bits; ++b) {
+      dst[b] = static_cast<char>(bits >> (8 * b));
+    }
+  }
+}
+
+/// Decodes `values.size()` little-endian values from `src`.
+template <typename T>
+void LoadLittleEndian(const char* src, std::vector<T>* values) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(values->data(), src, values->size() * sizeof(T));
+  } else {
+    for (size_t r = 0; r < values->size(); ++r) {
+      BitsOf<T> bits = 0;
+      for (size_t b = 0; b < sizeof bits; ++b) {
+        bits |= static_cast<BitsOf<T>>(
+                    static_cast<unsigned char>(src[r * sizeof(T) + b]))
+                << (8 * b);
+      }
+      std::memcpy(&(*values)[r], &bits, sizeof bits);
+    }
+  }
+}
+
+/// Writes the payload of `values`, with `null_value` on null rows, and
+/// sets the validity bits.
+template <typename T>
+void EncodeValues(const Column& column, const std::vector<T>& values,
+                  T null_value, char* payload, char* bitmap) {
+  for (size_t r = 0; r < values.size(); ++r) {
+    const bool valid = !column.IsNull(r);
+    StoreLittleEndian(payload + r * sizeof(T), valid ? values[r] : null_value);
+    if (valid) bitmap[r >> 3] |= static_cast<char>(1u << (r & 7));
+  }
+}
+
+std::string EncodeSegment(const Column& column) {
+  const size_t rows = column.size();
+  std::string out(rows * SegmentValueWidth(column.type()) + (rows + 7) / 8,
+                  '\0');
+  char* payload = out.data();
+  char* bitmap = payload + rows * SegmentValueWidth(column.type());
+  switch (column.type()) {
+    case ValueType::kString:
+      EncodeValues<uint32_t>(column, column.codes(), kNullCode, payload,
+                             bitmap);
+      break;
+    case ValueType::kInt64:
+      EncodeValues<int64_t>(column, column.ints(), 0, payload, bitmap);
+      break;
+    case ValueType::kDouble:
+      EncodeValues<double>(column, column.doubles(), 0.0, payload, bitmap);
+      break;
+    case ValueType::kNull:
+      break;  // Schema::Make rejects null-typed fields.
+  }
+  return out;
+}
+
+/// Decodes one checksum-verified segment and checks every constraint of
+/// the format before adopting it. Each violation is DataLoss naming
+/// `path` and the offending byte offset. `dictionary` (string columns
+/// only) comes from `dict_path`, in code order.
+Result<Column> DecodeSegment(const std::string& path, std::string_view bytes,
+                             ValueType type, uint64_t rows,
+                             std::vector<std::string_view> dictionary,
+                             const std::string& dict_path) {
+  const size_t width = SegmentValueWidth(type);
+  // Every row takes at least `width` bytes, so rows > size() is already
+  // a mismatch — and keeps rows * width from overflowing.
+  const uint64_t expected =
+      rows > bytes.size() ? UINT64_MAX : rows * width + (rows + 7) / 8;
+  if (bytes.size() != expected) {
+    return Status::DataLoss(
+        "'" + path + "' is " + std::to_string(bytes.size()) +
+        " bytes but " + std::to_string(rows) + " rows of " +
+        ValueTypeToString(type) + " need " +
+        (expected == UINT64_MAX ? std::string("more")
+                                : std::to_string(expected)) +
+        " (content diverges at byte " +
+        std::to_string(std::min<uint64_t>(bytes.size(), expected)) + ")");
+  }
+  const size_t n = static_cast<size_t>(rows);
+  const char* payload = bytes.data();
+  const unsigned char* bitmap =
+      reinterpret_cast<const unsigned char*>(payload + n * width);
+  const size_t bitmap_offset = n * width;
+  if (n % 8 != 0 && (bitmap[n / 8] >> (n % 8)) != 0) {
+    return Status::DataLoss("'" + path + "' byte " +
+                            std::to_string(bitmap_offset + n / 8) +
+                            ": validity bitmap padding bits are not zero");
+  }
+  auto at_byte = [&](size_t r) {
+    return "'" + path + "' byte " + std::to_string(r * width) + ": row " +
+           std::to_string(r);
+  };
+  ColumnStorage storage;
+  storage.validity.resize(n);
+  for (size_t r = 0; r < n; ++r) {
+    storage.validity[r] = (bitmap[r >> 3] >> (r & 7)) & 1;
+  }
+  const std::vector<uint8_t>& valid = storage.validity;
+  if (type == ValueType::kString) {
+    storage.codes.resize(n);
+    LoadLittleEndian(payload, &storage.codes);
+    const uint32_t dict_size = static_cast<uint32_t>(dictionary.size());
+    for (size_t r = 0; r < n; ++r) {
+      const uint32_t code = storage.codes[r];
+      if (valid[r] == 0 && code != kNullCode) {
+        return Status::DataLoss(at_byte(r) + " is null but holds code " +
+                                std::to_string(code) +
+                                " instead of the null code");
+      }
+      if (valid[r] != 0 && code == kNullCode) {
+        return Status::DataLoss(at_byte(r) +
+                                " holds the null code but its validity bit "
+                                "is set");
+      }
+      if (valid[r] != 0 && code >= dict_size) {
+        return Status::DataLoss(at_byte(r) + " has code " +
+                                std::to_string(code) + " but '" + dict_path +
+                                "' holds " + std::to_string(dict_size) +
+                                " entries");
+      }
+    }
+  } else {
+    auto check_null_rows = [&](const auto& values) -> Status {
+      for (size_t r = 0; r < n; ++r) {
+        uint64_t value_bits;
+        std::memcpy(&value_bits, &values[r], sizeof value_bits);
+        if (valid[r] == 0 && value_bits != 0) {
+          return Status::DataLoss(at_byte(r) +
+                                  " is null but its value bytes are not "
+                                  "zero");
+        }
+      }
+      return Status::OK();
+    };
+    if (type == ValueType::kInt64) {
+      storage.ints.resize(n);
+      LoadLittleEndian(payload, &storage.ints);
+      PCLEAN_RETURN_NOT_OK(check_null_rows(storage.ints));
+    } else {
+      storage.doubles.resize(n);
+      LoadLittleEndian(payload, &storage.doubles);
+      PCLEAN_RETURN_NOT_OK(check_null_rows(storage.doubles));
+    }
+  }
+  storage.dictionary = std::move(dictionary);
+  auto column = Column::Adopt(type, std::move(storage));
+  if (!column.ok()) {
+    return Status::DataLoss("'" + (dict_path.empty() ? path : dict_path) +
+                            "': " + column.status().message());
+  }
+  return column;
 }
 
 std::string TypeName(ValueType type) { return ValueTypeToString(type); }
@@ -100,13 +301,25 @@ Result<ValueType> TypeFromName(const std::string& name) {
 using RenderedFiles = std::vector<std::pair<std::string, std::string>>;
 
 /// Renders every payload file of the release (everything except the
-/// MANIFEST itself). Pure validation + serialization; no I/O.
+/// MANIFEST itself). Pure validation + serialization; no I/O. `exec`
+/// encodes the column segments in parallel, one column per shard.
 Result<RenderedFiles> RenderReleaseFiles(
     const Table& private_relation, const PrivateRelationMetadata& metadata,
     const ExecutionOptions& exec) {
+  const size_t num_columns = private_relation.num_columns();
+  std::vector<std::string> segments(num_columns);
+  PCLEAN_RETURN_NOT_OK(ParallelFor(
+      num_columns, num_columns, exec,
+      [&](size_t, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          segments[i] = EncodeSegment(private_relation.column(i));
+        }
+        return Status::OK();
+      }));
   RenderedFiles files;
-  files.emplace_back(kDataFile,
-                     TableToCsv(private_relation, ReleaseCsvOptions(exec)));
+  for (size_t i = 0; i < num_columns; ++i) {
+    files.emplace_back(SegmentFileName(i), std::move(segments[i]));
+  }
 
   // meta.csv: one row per attribute, in schema order so the analyst can
   // reconstruct the schema exactly.
@@ -166,8 +379,8 @@ Result<RenderedFiles> RenderReleaseFiles(
     }
   }
   PCLEAN_ASSIGN_OR_RETURN(Table meta_table, meta.Finish());
-  // meta.csv keeps the default CSV options for byte compatibility with
-  // v1 releases (its nulls render as empty fields).
+  // meta.csv keeps the default CSV options (its nulls render as empty
+  // fields), so its bytes are the same in every format version.
   files.emplace_back(kMetaFile, TableToCsv(meta_table, CsvOptions{}));
   return files;
 }
@@ -279,8 +492,8 @@ struct ManifestEntry {
   uint32_t crc = 0;
 };
 
-/// One `column:` schema line: the writer's view of a data.csv column,
-/// cross-checked against meta.csv before the data parse.
+/// One `column:` schema line: the writer's view of a relation column,
+/// cross-checked against meta.csv before the rows are decoded.
 struct ManifestColumn {
   std::string kind;  ///< "discrete" | "numeric"
   std::string type;  ///< TypeName() spelling
@@ -288,6 +501,8 @@ struct ManifestColumn {
 };
 
 struct Manifest {
+  /// 2 (relation in data.csv) or 3 (one segment per column).
+  int version = kFormatVersion;
   uint64_t rows = 0;
   /// Defaults to the paper's GRR: a v2 manifest written before the
   /// mechanism zoo has no `mechanism:` line, and every such release was
@@ -356,12 +571,14 @@ Result<Manifest> ParseManifest(const std::string& text,
     ++line_no;
     if (line.rfind("version: ", 0) == 0) {
       PCLEAN_ASSIGN_OR_RETURN(int64_t v, ParseInt64(line.substr(9)));
-      if (v != kFormatVersion) {
+      if (v != kCsvFormatVersion && v != kFormatVersion) {
         return Status::FailedPrecondition(
             "'" + path + "' declares release format version " +
-            std::to_string(v) + "; this reader supports version " +
+            std::to_string(v) + "; this reader supports versions " +
+            std::to_string(kCsvFormatVersion) + " and " +
             std::to_string(kFormatVersion));
       }
+      manifest.version = static_cast<int>(v);
       saw_version = true;
     } else if (line.rfind("rows: ", 0) == 0) {
       PCLEAN_ASSIGN_OR_RETURN(int64_t v, ParseInt64(line.substr(6)));
@@ -493,23 +710,51 @@ Status FetchAndCheck(const std::string& dir, const ManifestEntry& entry,
   return Status::OK();
 }
 
-/// Provides the bytes of a named release file to the shared parser.
-/// v2 serves checksum-verified bytes already in memory; v1 reads from
-/// disk with retry.
-using FileFetcher = std::function<Result<std::string>(const std::string&)>;
+/// A parsed MANIFEST and the checksum-verified bytes of its payload
+/// files: the single input of the decode step. ReadRelease and
+/// VerifyRelease fill it with one read+CRC pass over each file.
+struct VerifiedRelease {
+  std::string dir;
+  Manifest manifest;
+  std::map<std::string, std::string> files;
 
-/// Parses meta.csv / domain files / data.csv into a LoadedRelease.
-/// Shared by the v1 and v2 read paths; `fetch` abstracts where verified
-/// bytes come from. `mechanism` is the manifest's declared family (the
-/// legacy-GRR default for v1 and pre-mechanism v2 releases); every
-/// discrete attribute's meta.csv `param` is bound through it, so a
-/// parameter the family rejects surfaces as DataLoss naming meta.csv.
-Result<LoadedRelease> ParseReleaseTables(
-    const FileFetcher& fetch, const std::string& dir,
-    const MechanismSpec& mechanism, const ExecutionOptions& exec,
-    const std::vector<ManifestColumn>* manifest_columns = nullptr) {
+  bool Has(const std::string& name) const { return files.count(name) > 0; }
+
+  /// Moves a file's verified bytes out (each file is decoded once, and
+  /// its buffer is freed as soon as that is done).
+  Result<std::string> Take(const std::string& name) {
+    auto it = files.find(name);
+    if (it == files.end()) {
+      return Status::DataLoss("'" + dir + "/" + name +
+                              "' is referenced by the release but not "
+                              "listed in the MANIFEST");
+    }
+    std::string bytes = std::move(it->second);
+    files.erase(it);
+    return bytes;
+  }
+};
+
+/// Everything meta.csv and the domain files describe: the relation's
+/// schema and mechanism metadata, but not its rows.
+struct ReleaseLayout {
+  Schema schema;
+  PrivateRelationMetadata metadata;
+  /// dict_<i>.csv name per schema column; empty for non-string columns.
+  std::vector<std::string> dict_files;
+};
+
+/// Decodes meta.csv and the domain files. Every discrete attribute's
+/// meta.csv `param` is bound through the MANIFEST's mechanism family,
+/// so a parameter the family rejects surfaces as DataLoss naming
+/// meta.csv. The MANIFEST `column:` lines, when present, must agree
+/// with the resulting schema.
+Result<ReleaseLayout> DecodeLayout(VerifiedRelease& release,
+                                   const ExecutionOptions& exec) {
+  const std::string& dir = release.dir;
+  const MechanismSpec& mechanism = release.manifest.mechanism;
   PCLEAN_ASSIGN_OR_RETURN(Schema meta_schema, MetaSchema());
-  PCLEAN_ASSIGN_OR_RETURN(std::string meta_text, fetch(kMetaFile));
+  PCLEAN_ASSIGN_OR_RETURN(std::string meta_text, release.Take(kMetaFile));
   PCLEAN_ASSIGN_OR_RETURN(
       Table meta, CsvToTable(meta_text, meta_schema,
                              ReleaseReadOptions(CsvOptions{}, dir, kMetaFile)));
@@ -520,11 +765,8 @@ Result<LoadedRelease> ParseReleaseTables(
 
   // Reconstruct the data schema and the metadata maps.
   std::vector<Field> fields;
-  LoadedRelease release;
+  ReleaseLayout layout;
   size_t domain_index = 0;
-  /// String columns whose dictionary file should be applied after the
-  /// data parse: (column index, attribute name, dict file name).
-  std::vector<std::tuple<size_t, std::string, std::string>> dict_rebinds;
   for (size_t r = 0; r < meta.num_rows(); ++r) {
     std::string name(meta.column(0).StringAt(r));
     std::string kind(meta.column(1).StringAt(r));
@@ -538,15 +780,14 @@ Result<LoadedRelease> ParseReleaseTables(
     double param = meta.column(3).DoubleAt(r);
     if (kind == "discrete") {
       fields.push_back(Field{name, type, AttributeKind::kDiscrete});
-      if (type == ValueType::kString) {
-        dict_rebinds.emplace_back(fields.size() - 1, name,
-                                  DictFileName(domain_index));
-      }
+      layout.dict_files.push_back(
+          type == ValueType::kString ? DictFileName(domain_index) : "");
       PCLEAN_ASSIGN_OR_RETURN(
           Schema domain_schema,
           Schema::Make({Field::Discrete(name, type)}));
       const std::string domain_file = DomainFileName(domain_index);
-      PCLEAN_ASSIGN_OR_RETURN(std::string domain_text, fetch(domain_file));
+      PCLEAN_ASSIGN_OR_RETURN(std::string domain_text,
+                              release.Take(domain_file));
       PCLEAN_ASSIGN_OR_RETURN(
           Table domain_table,
           CsvToTable(domain_text, domain_schema,
@@ -574,7 +815,7 @@ Result<LoadedRelease> ParseReleaseTables(
                                 "': attribute '" + name + "': " +
                                 bound.status().message());
       }
-      release.metadata.discrete.emplace(
+      layout.metadata.discrete.emplace(
           name, DiscreteAttributeMeta{param, std::move(domain),
                                       std::move(bound).ValueOrDie()});
     } else if (kind == "numeric") {
@@ -583,21 +824,23 @@ Result<LoadedRelease> ParseReleaseTables(
                                "' cannot be string-typed");
       }
       fields.push_back(Field{name, type, AttributeKind::kNumerical});
+      layout.dict_files.push_back("");
       double sensitivity =
           meta.column(4).IsNull(r) ? 0.0 : meta.column(4).DoubleAt(r);
-      release.metadata.numeric.emplace(
+      layout.metadata.numeric.emplace(
           name, NumericAttributeMeta{param, sensitivity});
     } else {
       return Status::IOError("unknown attribute kind '" + kind + "'");
     }
   }
-  PCLEAN_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
+  PCLEAN_ASSIGN_OR_RETURN(layout.schema, Schema::Make(std::move(fields)));
   // Cross-check the MANIFEST-carried schema against meta.csv BEFORE the
-  // data parse: a writer/reader disagreement about what data.csv holds
-  // must fail with the offending column named, not as a downstream
-  // coercion error on some row.
-  if (manifest_columns != nullptr && !manifest_columns->empty()) {
-    const std::vector<ManifestColumn>& expected = *manifest_columns;
+  // rows are decoded: a writer/reader disagreement about what the
+  // relation holds must fail with the offending column named, not as a
+  // downstream decode error on some row.
+  const std::vector<ManifestColumn>& expected = release.manifest.columns;
+  const Schema& schema = layout.schema;
+  if (!expected.empty()) {
     if (expected.size() != schema.num_fields()) {
       return Status::FailedPrecondition(
           "'" + dir + "': MANIFEST declares " +
@@ -620,50 +863,172 @@ Result<LoadedRelease> ParseReleaseTables(
       }
     }
   }
-  PCLEAN_ASSIGN_OR_RETURN(std::string data_text, fetch(kDataFile));
+  return layout;
+}
+
+/// Parses a dict_<i>.csv file into its entries in code order. The
+/// entries view into `*table`, which must outlive them.
+Result<std::vector<std::string_view>> DecodeDictionary(
+    VerifiedRelease& release, const std::string& dict_file,
+    const std::string& attribute, const ExecutionOptions& exec,
+    Table* table) {
+  PCLEAN_ASSIGN_OR_RETURN(std::string text, release.Take(dict_file));
   PCLEAN_ASSIGN_OR_RETURN(
-      release.relation,
-      CsvToTable(data_text, schema,
+      Schema dict_schema,
+      Schema::Make({Field::Discrete(attribute, ValueType::kString)}));
+  PCLEAN_ASSIGN_OR_RETURN(
+      *table, CsvToTable(text, dict_schema,
+                         ReleaseReadOptions(ReleaseCsvOptions(exec),
+                                            release.dir, dict_file)));
+  std::vector<std::string_view> entries;
+  entries.reserve(table->num_rows());
+  for (size_t i = 0; i < table->num_rows(); ++i) {
+    if (table->column(0).IsNull(i)) {
+      return Status::DataLoss("'" + release.dir + "/" + dict_file +
+                              "' row " + std::to_string(i) +
+                              ": dictionary entries cannot be NULL");
+    }
+    entries.push_back(table->column(0).StringAt(i));
+  }
+  return entries;
+}
+
+/// Format v2: the relation is data.csv. Each string column's code order
+/// is then restored from its dict file. An absent dict file (a release
+/// written before dictionary files existed) keeps the parse order; a
+/// present but inconsistent one is DataLoss.
+Result<Table> DecodeCsvRelation(VerifiedRelease& release,
+                                const ReleaseLayout& layout,
+                                const ExecutionOptions& exec) {
+  const std::string& dir = release.dir;
+  PCLEAN_ASSIGN_OR_RETURN(std::string data_text, release.Take(kDataFile));
+  PCLEAN_ASSIGN_OR_RETURN(
+      Table relation,
+      CsvToTable(data_text, layout.schema,
                  ReleaseReadOptions(ReleaseCsvOptions(exec), dir, kDataFile)));
-  // Restore each string column's dictionary code order from its dict
-  // file. Absent files (a v1 release, or a v2 release written before
-  // dictionary files existed) leave the parse-order dictionary in
-  // place; a present-but-inconsistent file is DataLoss.
-  for (const auto& [col_idx, attr_name, dict_file] : dict_rebinds) {
-    auto dict_text = fetch(dict_file);
-    if (!dict_text.ok()) {
-      if (dict_text.status().IsNotFound() || dict_text.status().IsDataLoss()) {
-        continue;  // Not part of this release.
-      }
-      return dict_text.status();
-    }
+  for (size_t i = 0; i < layout.dict_files.size(); ++i) {
+    const std::string& dict_file = layout.dict_files[i];
+    if (dict_file.empty() || !release.Has(dict_file)) continue;
+    Table dict_table;
     PCLEAN_ASSIGN_OR_RETURN(
-        Schema dict_schema,
-        Schema::Make({Field::Discrete(attr_name, ValueType::kString)}));
-    PCLEAN_ASSIGN_OR_RETURN(
-        Table dict_table,
-        CsvToTable(dict_text.ValueOrDie(), dict_schema,
-                   ReleaseReadOptions(ReleaseCsvOptions(exec), dir,
-                                      dict_file)));
-    std::vector<std::string_view> entries;
-    entries.reserve(dict_table.num_rows());
-    for (size_t i = 0; i < dict_table.num_rows(); ++i) {
-      if (dict_table.column(0).IsNull(i)) {
-        return Status::DataLoss("'" + dir + "/" + dict_file +
-                                "' row " + std::to_string(i) +
-                                ": dictionary entries cannot be NULL");
-      }
-      entries.push_back(dict_table.column(0).StringAt(i));
-    }
-    Status rebind =
-        release.relation.mutable_column(col_idx)->RebindDictionary(entries);
+        std::vector<std::string_view> entries,
+        DecodeDictionary(release, dict_file, layout.schema.field(i).name,
+                         exec, &dict_table));
+    Status rebind = relation.mutable_column(i)->RebindDictionary(entries);
     if (!rebind.ok()) {
       return Status::DataLoss("'" + dir + "/" + dict_file + "': " +
                               rebind.message());
     }
   }
-  release.metadata.dataset_size = release.relation.num_rows();
-  release.metadata.mechanism_spec = mechanism;
+  if (relation.num_rows() != release.manifest.rows) {
+    return Status::DataLoss(
+        "'" + dir + "/" + kDataFile + "' parsed to " +
+        std::to_string(relation.num_rows()) +
+        " rows but the MANIFEST records " +
+        std::to_string(release.manifest.rows));
+  }
+  return relation;
+}
+
+/// Format v3: one segment per column, adopted as the column's storage.
+/// String columns take their dictionary from the (required) dict file.
+/// `exec` decodes the columns in parallel, one column per shard.
+Result<Table> DecodeSegmentRelation(VerifiedRelease& release,
+                                    const ReleaseLayout& layout,
+                                    const ExecutionOptions& exec) {
+  const size_t num_columns = layout.schema.num_fields();
+  // Claim every file up front (serially: Take mutates the map).
+  std::vector<std::string> segments(num_columns);
+  std::vector<Table> dict_tables(num_columns);
+  std::vector<std::vector<std::string_view>> dictionaries(num_columns);
+  for (size_t i = 0; i < num_columns; ++i) {
+    PCLEAN_ASSIGN_OR_RETURN(segments[i], release.Take(SegmentFileName(i)));
+    if (!layout.dict_files[i].empty()) {
+      PCLEAN_ASSIGN_OR_RETURN(
+          dictionaries[i],
+          DecodeDictionary(release, layout.dict_files[i],
+                           layout.schema.field(i).name, exec,
+                           &dict_tables[i]));
+    }
+  }
+  std::vector<std::optional<Column>> decoded(num_columns);
+  PCLEAN_RETURN_NOT_OK(ParallelFor(
+      num_columns, num_columns, exec,
+      [&](size_t, size_t begin, size_t end) -> Status {
+        for (size_t i = begin; i < end; ++i) {
+          const std::string& dict_file = layout.dict_files[i];
+          PCLEAN_ASSIGN_OR_RETURN(
+              decoded[i],
+              DecodeSegment(release.dir + "/" + SegmentFileName(i),
+                            segments[i], layout.schema.field(i).type,
+                            release.manifest.rows, std::move(dictionaries[i]),
+                            dict_file.empty() ? ""
+                                              : release.dir + "/" + dict_file));
+          std::string().swap(segments[i]);  // Free the bytes early.
+        }
+        return Status::OK();
+      }));
+  std::vector<Column> columns;
+  columns.reserve(num_columns);
+  for (std::optional<Column>& column : decoded) {
+    columns.push_back(std::move(*column));
+  }
+  return Table::Make(layout.schema, std::move(columns));
+}
+
+/// The decode step shared by ReadRelease and VerifyRelease: verified
+/// bytes in, LoadedRelease out.
+Result<LoadedRelease> DecodeRelease(VerifiedRelease& release,
+                                    const ExecutionOptions& exec) {
+  PCLEAN_ASSIGN_OR_RETURN(ReleaseLayout layout, DecodeLayout(release, exec));
+  LoadedRelease loaded;
+  if (release.manifest.version == kCsvFormatVersion) {
+    PCLEAN_ASSIGN_OR_RETURN(loaded.relation,
+                            DecodeCsvRelation(release, layout, exec));
+  } else {
+    PCLEAN_ASSIGN_OR_RETURN(loaded.relation,
+                            DecodeSegmentRelation(release, layout, exec));
+  }
+  loaded.metadata = std::move(layout.metadata);
+  loaded.metadata.dataset_size = loaded.relation.num_rows();
+  loaded.metadata.mechanism_spec = release.manifest.mechanism;
+  loaded.metadata.relation_name = release.manifest.relation_name;
+  loaded.format_version = release.manifest.version;
+  loaded.verified = true;
+  return loaded;
+}
+
+/// Reads and parses `dir`'s MANIFEST. A directory without one is
+/// NotFound, or FailedPrecondition when it looks like a pre-manifest
+/// (v1) release: such a release has no checksums to verify, and
+/// accepting it would let a deleted MANIFEST silently downgrade a
+/// checksummed release to an unchecked one.
+Result<VerifiedRelease> LoadManifest(const std::string& dir) {
+  const std::string manifest_path = dir + "/" + kManifestFile;
+  auto manifest_text = io::ReadFileWithRetry(manifest_path);
+  if (!manifest_text.ok()) {
+    if (!manifest_text.status().IsNotFound()) return manifest_text.status();
+    std::error_code ec;
+    if (fs::exists(dir + "/" + kMetaFile, ec)) {
+      return Status::FailedPrecondition(
+          "'" + dir +
+          "' is an unverified pre-manifest (v1) release: it has no "
+          "checksums to verify, and this reader only opens manifest "
+          "releases (format 2 or 3); re-privatize the source data to "
+          "write a current release");
+    }
+    if (!fs::exists(dir, ec)) {
+      return Status::NotFound("no release at '" + dir + "'");
+    }
+    return Status::NotFound("'" + dir +
+                            "' contains no release (no MANIFEST or "
+                            "meta.csv)");
+  }
+  VerifiedRelease release;
+  release.dir = dir;
+  PCLEAN_ASSIGN_OR_RETURN(
+      release.manifest,
+      ParseManifest(manifest_text.ValueOrDie(), manifest_path));
   return release;
 }
 
@@ -808,69 +1173,15 @@ Status WriteRelease(const GrrOutput& grr, const std::string& dir,
 
 Result<LoadedRelease> ReadRelease(const std::string& dir,
                                   const ExecutionOptions& exec) {
-  const std::string manifest_path = dir + "/" + kManifestFile;
-  auto manifest_text = io::ReadFileWithRetry(manifest_path);
-  if (!manifest_text.ok()) {
-    if (!manifest_text.status().IsNotFound()) return manifest_text.status();
-    std::error_code ec;
-    if (!fs::exists(dir, ec)) {
-      return Status::NotFound("no release at '" + dir + "'");
-    }
-    if (!fs::exists(dir + "/" + kMetaFile, ec)) {
-      return Status::NotFound("'" + dir +
-                              "' contains no release (no MANIFEST or "
-                              "meta.csv)");
-    }
-    // Pre-manifest (v1) directory: loadable, but nothing to check the
-    // bytes against. v1 predates the mechanism zoo, so the family is
-    // the explicit legacy-GRR default.
-    FileFetcher from_disk = [&dir](const std::string& name) {
-      return io::ReadFileWithRetry(dir + "/" + name);
-    };
-    PCLEAN_ASSIGN_OR_RETURN(
-        LoadedRelease release,
-        ParseReleaseTables(from_disk, dir, MechanismSpec{}, exec));
-    release.format_version = 1;
-    release.verified = false;
-    release.metadata.relation_name = "r";
-    return release;
-  }
-
-  PCLEAN_ASSIGN_OR_RETURN(
-      Manifest manifest,
-      ParseManifest(manifest_text.ValueOrDie(), manifest_path));
-  // Read and checksum every listed file up front; parsing only ever
+  PCLEAN_ASSIGN_OR_RETURN(VerifiedRelease release, LoadManifest(dir));
+  // Read and checksum every listed file up front; decoding only ever
   // sees verified bytes.
-  std::map<std::string, std::string> verified;
-  for (const ManifestEntry& entry : manifest.files) {
+  for (const ManifestEntry& entry : release.manifest.files) {
     std::string content;
     PCLEAN_RETURN_NOT_OK(FetchAndCheck(dir, entry, &content));
-    verified.emplace(entry.name, std::move(content));
+    release.files.emplace(entry.name, std::move(content));
   }
-  FileFetcher from_manifest =
-      [&verified, &dir](const std::string& name) -> Result<std::string> {
-    auto it = verified.find(name);
-    if (it == verified.end()) {
-      return Status::DataLoss("'" + dir + "/" + name +
-                              "' is referenced by the release but not "
-                              "listed in the MANIFEST");
-    }
-    return it->second;
-  };
-  PCLEAN_ASSIGN_OR_RETURN(
-      LoadedRelease release,
-      ParseReleaseTables(from_manifest, dir, manifest.mechanism, exec,
-                         &manifest.columns));
-  release.metadata.relation_name = manifest.relation_name;
-  if (release.relation.num_rows() != manifest.rows) {
-    return Status::DataLoss(
-        "'" + dir + "/" + kDataFile + "' parsed to " +
-        std::to_string(release.relation.num_rows()) +
-        " rows but the MANIFEST records " + std::to_string(manifest.rows));
-  }
-  release.format_version = kFormatVersion;
-  release.verified = true;
-  return release;
+  return DecodeRelease(release, exec);
 }
 
 Result<PrivateTable> OpenRelease(const std::string& dir,
@@ -885,52 +1196,35 @@ Result<PrivateTable> OpenRelease(const std::string& dir,
 }
 
 Result<ReleaseVerification> VerifyRelease(const std::string& dir) {
-  const std::string manifest_path = dir + "/" + kManifestFile;
-  auto manifest_text = io::ReadFileWithRetry(manifest_path);
-  if (!manifest_text.ok()) {
-    if (!manifest_text.status().IsNotFound()) return manifest_text.status();
-    std::error_code ec;
-    if (fs::exists(dir + "/" + kMetaFile, ec)) {
-      // Deliberately strict: falling back to "v1, fine" here would let
-      // a deleted MANIFEST silently downgrade a checksummed release.
-      return Status::FailedPrecondition(
-          "'" + dir +
-          "' is an unverified pre-manifest (v1) release: it has no "
-          "checksums to verify; rewrite it with WriteRelease to add a "
-          "MANIFEST");
-    }
-    if (!fs::exists(dir, ec)) {
-      return Status::NotFound("no release at '" + dir + "'");
-    }
-    return Status::NotFound("'" + dir +
-                            "' contains no release (no MANIFEST or "
-                            "meta.csv)");
-  }
-
-  PCLEAN_ASSIGN_OR_RETURN(
-      Manifest manifest,
-      ParseManifest(manifest_text.ValueOrDie(), manifest_path));
+  PCLEAN_ASSIGN_OR_RETURN(VerifiedRelease release, LoadManifest(dir));
   ReleaseVerification verification;
-  verification.format_version = kFormatVersion;
-  verification.rows = manifest.rows;
-  for (const ManifestEntry& entry : manifest.files) {
+  verification.format_version = release.manifest.version;
+  verification.rows = release.manifest.rows;
+  for (const ManifestEntry& entry : release.manifest.files) {
     std::string content;
     ReleaseFileCheck check;
     check.file = entry.name;
     check.bytes = entry.bytes;
     check.status = FetchAndCheck(dir, entry, &content);
-    if (verification.status.ok() && !check.status.ok()) {
+    if (check.status.ok()) {
+      release.files.emplace(entry.name, std::move(content));
+    } else if (verification.status.ok()) {
       verification.status = check.status;
     }
     verification.files.push_back(std::move(check));
   }
   if (verification.status.ok()) {
     // Checksums passing still leaves semantic damage (a writer bug or a
-    // collision); a full parse is the final gate.
-    auto loaded = ReadRelease(dir);
+    // collision); decoding the bytes just verified is the final gate.
+    auto loaded = DecodeRelease(release, ExecutionOptions{});
     if (!loaded.ok()) verification.status = loaded.status();
   }
   return verification;
+}
+
+std::string ReleaseRelationToCsv(const Table& relation,
+                                 const ExecutionOptions& exec) {
+  return TableToCsv(relation, ReleaseCsvOptions(exec));
 }
 
 }  // namespace privateclean

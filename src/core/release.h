@@ -12,17 +12,29 @@
 namespace privateclean {
 
 /// Serialization of a private release — the actual provider→analyst
-/// handoff. A format-v2 release directory contains:
+/// handoff. A format-v3 release directory contains:
 ///
 ///   MANIFEST       magic, format version, relation size, and one line
 ///                  per payload file with its byte length and CRC32C,
 ///                  followed by a self-checksum of the manifest itself
-///   data.csv       the private relation V (RFC-4180 CSV)
+///   column_<i>.bin the i-th column of the private relation V as a
+///                  little-endian binary segment: the dense values
+///                  (uint32 dictionary codes for strings, int64 or
+///                  double for numbers) followed by an LSB-first
+///                  validity bitmap of ceil(rows / 8) bytes
 ///   meta.csv       one row per attribute: name, kind, physical type,
 ///                  mechanism parameter (p or b), sensitivity, domain
-///                  size; plus the relation size
+///                  size
 ///   domain_<i>.csv the randomization-time domain of the i-th discrete
 ///                  attribute (one typed column; nulls encoded as \N)
+///   dict_<i>.csv   the i-th discrete attribute's string dictionary in
+///                  code order (string-typed attributes only); segment
+///                  codes index it directly
+///
+/// Format v2 stored V as one RFC-4180 CSV, data.csv, instead of the
+/// segments; readers still open it. Pre-manifest (v1) directories are
+/// no longer read (FailedPrecondition). ReleaseRelationToCsv renders
+/// any relation as the CSV data.csv held (`pclean export`).
 ///
 /// Everything in the release is a public parameter of the mechanism —
 /// shipping it alongside V does not weaken ε-local differential privacy
@@ -34,17 +46,22 @@ namespace privateclean {
 /// write+fsync, fsyncs that directory, and only then renames it over
 /// the target (backing up and restoring an existing release if the
 /// swap fails part-way). ReadRelease reads each payload file once,
-/// verifies its length and CRC32C against the MANIFEST before parsing,
+/// verifies its length and CRC32C against the MANIFEST before decoding,
 /// and maps damage to typed statuses:
 ///
 ///   NotFound           no release at that path (or a torn swap left
 ///                      nothing behind)
-///   DataLoss           checksum/length mismatch, truncated record, or
-///                      a file the MANIFEST lists but the dir lacks
+///   DataLoss           checksum/length mismatch, truncated record, a
+///                      segment that violates its layout (wrong length,
+///                      out-of-range code, code/validity disagreement,
+///                      non-zero padding or null payload — named by file
+///                      and byte), or a file the MANIFEST lists but the
+///                      dir lacks
 ///   IOError            possibly-transient read failure (retried with
 ///                      bounded backoff before being returned)
-///   FailedPrecondition strict verification of a pre-manifest (v1)
-///                      release, which has no checksums to check
+///   FailedPrecondition a pre-manifest (v1) directory, which has no
+///                      checksums to check, or a MANIFEST version other
+///                      than 2 or 3
 ///   AlreadyExists      the target exists and is not a replaceable
 ///                      release directory
 
@@ -52,9 +69,9 @@ namespace privateclean {
 /// either the complete new release or (on error) its previous content.
 /// An existing release directory (or empty directory) at `dir` is
 /// replaced by atomic swap; anything else there fails with
-/// AlreadyExists. `exec` shards the CSV serialization of data.csv (see
-/// CsvOptions::exec); the bytes written are identical at every thread
-/// count.
+/// AlreadyExists. Always writes format v3. `exec` encodes the column
+/// segments in parallel; the bytes written are identical at every
+/// thread count.
 Status WriteRelease(const Table& private_relation,
                     const PrivateRelationMetadata& metadata,
                     const std::string& dir, const ExecutionOptions& exec = {});
@@ -67,17 +84,18 @@ Status WriteRelease(const GrrOutput& grr, const std::string& dir,
 struct LoadedRelease {
   Table relation;
   PrivateRelationMetadata metadata;
-  /// 2 for manifest releases, 1 for pre-manifest directories.
-  int format_version = 2;
+  /// 3 for segment releases, 2 for data.csv releases.
+  int format_version = 3;
   /// True iff every payload file was checked against MANIFEST checksums
-  /// before parsing. v1 releases load with `verified = false`.
+  /// before decoding — always the case for a release that loads.
   bool verified = false;
 };
 
-/// Reads a release directory back, verifying MANIFEST checksums. v1
-/// directories (no MANIFEST, but a meta.csv) still load, flagged
-/// `verified = false`. `exec` shards the CSV cell typing of data.csv;
-/// the resulting Table is identical at every thread count.
+/// Reads a release directory back, verifying MANIFEST checksums, and
+/// decodes format v3 (segments) or v2 (data.csv). A pre-manifest (v1)
+/// directory is FailedPrecondition. `exec` decodes v3 columns in
+/// parallel and shards the CSV cell typing of v2 data.csv; the resulting
+/// Table is identical at every thread count.
 Result<LoadedRelease> ReadRelease(const std::string& dir,
                                   const ExecutionOptions& exec = {});
 
@@ -97,7 +115,7 @@ struct ReleaseFileCheck {
 
 /// Result of `VerifyRelease` on a manifest release.
 struct ReleaseVerification {
-  int format_version = 2;
+  int format_version = 3;
   uint64_t rows = 0;  ///< relation size recorded in the MANIFEST
   std::vector<ReleaseFileCheck> files;
   /// OK iff every file check passed and the release parses; otherwise
@@ -105,14 +123,21 @@ struct ReleaseVerification {
   Status status;
 };
 
-/// Strict integrity check behind `pclean verify`. Unlike ReadRelease it
-/// does NOT accept v1 directories: a release without a MANIFEST cannot
-/// be verified and yields FailedPrecondition (otherwise deleting the
-/// MANIFEST would silently downgrade a checksummed release to an
-/// unchecked one). Returns an error Result when there is no manifest to
-/// check against (NotFound / DataLoss / FailedPrecondition); otherwise
-/// returns per-file outcomes plus an overall status.
+/// Integrity check behind `pclean verify`. Like ReadRelease it yields
+/// FailedPrecondition for a release without a MANIFEST (otherwise
+/// deleting the MANIFEST would silently downgrade a checksummed release
+/// to an unchecked one). Returns an error Result when there is no
+/// manifest to check against (NotFound / DataLoss / FailedPrecondition);
+/// otherwise returns per-file outcomes plus an overall status. Each file
+/// is read and checksummed once; when all pass, those same bytes go
+/// through ReadRelease's decode step.
 Result<ReleaseVerification> VerifyRelease(const std::string& dir);
+
+/// Renders a release relation as the CSV a format-v2 release stored in
+/// data.csv (RFC-4180, header row, `\N` for NULL). Behind
+/// `pclean export`.
+std::string ReleaseRelationToCsv(const Table& relation,
+                                 const ExecutionOptions& exec = {});
 
 }  // namespace privateclean
 

@@ -11,6 +11,57 @@ Result<Column> Column::Make(ValueType type) {
   return Column(type);
 }
 
+namespace {
+
+/// Interns `entries` in order; InvalidArgument on a repeated entry, so
+/// the result maps entry i to code i.
+Result<StringDictionary> DictionaryInCodeOrder(
+    const std::vector<std::string_view>& entries) {
+  StringDictionary dict;
+  for (std::string_view e : entries) {
+    const uint32_t expected = static_cast<uint32_t>(dict.size());
+    if (dict.Intern(e) != expected) {
+      return Status::InvalidArgument(
+          "dictionary entries contain duplicate value '" + std::string(e) +
+          "'");
+    }
+  }
+  return dict;
+}
+
+}  // namespace
+
+Result<Column> Column::Adopt(ValueType type, ColumnStorage storage) {
+  PCLEAN_ASSIGN_OR_RETURN(Column column, Make(type));
+  const size_t rows = storage.validity.size();
+  const size_t payload = type == ValueType::kInt64    ? storage.ints.size()
+                         : type == ValueType::kDouble ? storage.doubles.size()
+                                                      : storage.codes.size();
+  const size_t other = storage.ints.size() + storage.doubles.size() +
+                       storage.codes.size() - payload;
+  if (payload != rows || other != 0) {
+    return Status::InvalidArgument(
+        std::string("adopted ") + ValueTypeToString(type) + " column has " +
+        std::to_string(payload) + " values for " + std::to_string(rows) +
+        " validity entries (and " + std::to_string(other) +
+        " values of other types)");
+  }
+  if (type != ValueType::kString && !storage.dictionary.empty()) {
+    return Status::InvalidArgument("only string columns have a dictionary");
+  }
+  for (uint8_t v : storage.validity) {
+    if (v > 1) return Status::InvalidArgument("validity bytes must be 0 or 1");
+  }
+  PCLEAN_ASSIGN_OR_RETURN(column.dict_,
+                          DictionaryInCodeOrder(storage.dictionary));
+  column.ints_ = std::move(storage.ints);
+  column.doubles_ = std::move(storage.doubles);
+  column.codes_ = std::move(storage.codes);
+  column.valid_ = std::move(storage.validity);
+  column.RecomputeNullCount();
+  return column;
+}
+
 void Column::AppendNull() {
   switch (type_) {
     case ValueType::kInt64:
@@ -161,15 +212,8 @@ Status Column::RebindDictionary(
     return Status::InvalidArgument(
         "RebindDictionary requires a string column");
   }
-  StringDictionary next;
-  for (std::string_view e : entries) {
-    uint32_t before = static_cast<uint32_t>(next.size());
-    if (next.Intern(e) != before) {
-      return Status::InvalidArgument(
-          "dictionary entries contain duplicate value '" + std::string(e) +
-          "'");
-    }
-  }
+  PCLEAN_ASSIGN_OR_RETURN(StringDictionary next,
+                          DictionaryInCodeOrder(entries));
   // Old code -> new code. Every string in use must survive the rebind.
   std::vector<uint32_t> remap(dict_.size(), kNullCode);
   for (uint32_t old = 0; old < dict_.size(); ++old) {

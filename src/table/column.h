@@ -20,6 +20,18 @@ struct ColumnMemory {
   size_t dictionary_entries = 0;
 };
 
+/// Decoded dense storage for Column::Adopt: the payload vector of the
+/// column's type (the other two stay empty), the validity vector (1 =
+/// valid, 0 = null), and for string columns the dictionary entries in
+/// code order.
+struct ColumnStorage {
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<uint32_t> codes;
+  std::vector<uint8_t> validity;
+  std::vector<std::string_view> dictionary;
+};
+
 /// Typed column with a validity vector.
 ///
 /// Storage is unboxed and columnar: `vector<int64_t>` / `vector<double>`
@@ -36,6 +48,16 @@ class Column {
  public:
   /// Creates an empty column of the given physical type (not kNull).
   static Result<Column> Make(ValueType type);
+
+  /// Builds a column by adopting already-decoded vectors (moved, not
+  /// copied) and interning `storage.dictionary` so entry i gets code i.
+  /// InvalidArgument when the payload of `type` and the validity vector
+  /// differ in length, another type's payload is non-empty, a validity
+  /// byte is not 0/1, or the dictionary repeats an entry. The caller
+  /// guarantees the per-row invariants the decoder checks: a valid row's
+  /// code is below the dictionary size, and a row's code is kNullCode
+  /// exactly when the row is null.
+  static Result<Column> Adopt(ValueType type, ColumnStorage storage);
 
   ValueType type() const { return type_; }
   size_t size() const { return valid_.size(); }
@@ -90,8 +112,8 @@ class Column {
   /// Replaces the dictionary with `entries` (code order) and remaps the
   /// code array. Every distinct string currently in the column must
   /// appear in `entries` and `entries` must not contain duplicates;
-  /// InvalidArgument otherwise. Used by the release reader to restore
-  /// the writer's persisted dictionary order.
+  /// InvalidArgument otherwise. Used by the format-v2 release reader to
+  /// restore the writer's persisted dictionary order after the CSV parse.
   Status RebindDictionary(const std::vector<std::string_view>& entries);
 
   /// --- Raw access for fast scans ---------------------------------------

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
@@ -16,8 +17,33 @@
 #include "datagen/synthetic.h"
 #include "table/csv.h"
 
+#ifndef PCLEAN_TEST_DATA_DIR
+#error "PCLEAN_TEST_DATA_DIR must point at the tests/ source directory"
+#endif
+
 namespace privateclean {
 namespace {
+
+std::string Slurp(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << f.rdbuf();
+  return buffer.str();
+}
+
+/// The column segments of a release, concatenated in column order: the
+/// relation's bytes on disk.
+std::string SegmentBytes(const std::string& dir) {
+  std::string bytes;
+  size_t i = 0;
+  for (; std::filesystem::exists(dir + "/column_" + std::to_string(i) +
+                                 ".bin");
+       ++i) {
+    bytes += Slurp(dir + "/column_" + std::to_string(i) + ".bin");
+  }
+  EXPECT_GT(i, 0u) << "no column segments in " << dir;
+  return bytes;
+}
 
 class CliTest : public ::testing::Test {
  protected:
@@ -220,9 +246,9 @@ TEST_F(CliTest, VerifyReportsOkRelease) {
                  release_dir_, "--epsilon", "2.0", "--seed", "7"}),
             0);
   ASSERT_EQ(Run({"verify", release_dir_}), 0) << err_.str();
-  EXPECT_NE(out_.str().find("format: v2"), std::string::npos);
+  EXPECT_NE(out_.str().find("format: v3"), std::string::npos);
   EXPECT_NE(out_.str().find("rows: 500"), std::string::npos);
-  EXPECT_NE(out_.str().find("data.csv"), std::string::npos);
+  EXPECT_NE(out_.str().find("column_0.bin"), std::string::npos);
   EXPECT_NE(out_.str().find("verification: OK"), std::string::npos);
 }
 
@@ -238,7 +264,7 @@ TEST_F(CliTest, VerifyDetectsCorruption) {
   ASSERT_EQ(Run({"privatize", "--input", csv_path_, "--output",
                  release_dir_, "--epsilon", "2.0", "--seed", "7"}),
             0);
-  const std::string path = release_dir_ + "/data.csv";
+  const std::string path = release_dir_ + "/column_1.bin";
   std::stringstream bytes;
   {
     std::ifstream in(path, std::ios::binary);
@@ -252,7 +278,7 @@ TEST_F(CliTest, VerifyDetectsCorruption) {
   }
   EXPECT_EQ(Run({"verify", release_dir_}), 1);
   EXPECT_NE(err_.str().find("Data loss"), std::string::npos) << err_.str();
-  EXPECT_NE(out_.str().find("data.csv"), std::string::npos);
+  EXPECT_NE(out_.str().find("column_1.bin"), std::string::npos);
 }
 
 TEST_F(CliTest, VerifyMissingReleaseFails) {
@@ -268,12 +294,51 @@ TEST_F(CliTest, VerifyRefusesUncheckableV1Release) {
   EXPECT_EQ(Run({"verify", release_dir_}), 1);
   EXPECT_NE(err_.str().find("Failed precondition"), std::string::npos)
       << err_.str();
-  // The same v1 directory still queries fine — only strict verification
-  // refuses it.
+  // Query refuses it the same way: no path opens a release without
+  // checksums.
   EXPECT_EQ(Run({"query", "--release", release_dir_, "--sql",
                  "SELECT count(1) FROM r"}),
+            1);
+  EXPECT_NE(err_.str().find("Failed precondition"), std::string::npos)
+      << err_.str();
+}
+
+TEST_F(CliTest, ExportWritesTheV2DataCsvBytes) {
+  // The checked-in v2 release exports to exactly its own data.csv, and
+  // so does a v3 release holding the same relation.
+  const std::string fixture =
+      std::string(PCLEAN_TEST_DATA_DIR) + "/golden/v2_release";
+  const std::string exported = base_ + "/exported.csv";
+  ASSERT_EQ(Run({"export", "--release", fixture, "--output", exported}), 0)
+      << err_.str();
+  EXPECT_NE(out_.str().find("exported 2000 rows"), std::string::npos);
+  EXPECT_EQ(Slurp(exported), Slurp(fixture + "/data.csv"));
+}
+
+TEST_F(CliTest, ExportOfPrivatizedReleaseParsesBack) {
+  ASSERT_EQ(Run({"privatize", "--input", csv_path_, "--output",
+                 release_dir_, "--epsilon", "2.0", "--seed", "7"}),
+            0);
+  const std::string exported = base_ + "/exported.csv";
+  ASSERT_EQ(Run({"export", "--release", release_dir_, "--output", exported}),
             0)
       << err_.str();
+  EXPECT_NE(out_.str().find("exported 500 rows"), std::string::npos);
+  const std::string text = Slurp(exported);
+  EXPECT_EQ(text.rfind("category,value\n", 0), 0u) << text.substr(0, 40);
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 501);
+}
+
+TEST_F(CliTest, ExportErrorsAreTyped) {
+  EXPECT_EQ(Run({"export", "--release", base_ + "/nope", "--output",
+                 base_ + "/x.csv"}),
+            1);
+  EXPECT_NE(err_.str().find("Not found"), std::string::npos) << err_.str();
+  EXPECT_FALSE(std::filesystem::exists(base_ + "/x.csv"));
+  EXPECT_EQ(Run({"export", "--release", release_dir_}), 1);
+  EXPECT_NE(err_.str().find("--output"), std::string::npos) << err_.str();
+  Run({"help"});
+  EXPECT_NE(out_.str().find("pclean export"), std::string::npos);
 }
 
 TEST_F(CliTest, VerifyRequiresADirectory) {
@@ -297,12 +362,10 @@ TEST_F(CliTest, CsvSplitModesProduceIdenticalReleases) {
                  "4"}),
             0)
       << err_.str();
-  std::ifstream a(release_dir_ + "_serial/data.csv");
-  std::ifstream b(release_dir_ + "_spec/data.csv");
-  std::stringstream sa, sb;
-  sa << a.rdbuf();
-  sb << b.rdbuf();
-  EXPECT_EQ(sa.str(), sb.str());
+  EXPECT_EQ(SegmentBytes(release_dir_ + "_serial"),
+            SegmentBytes(release_dir_ + "_spec"));
+  EXPECT_EQ(Slurp(release_dir_ + "_serial/MANIFEST"),
+            Slurp(release_dir_ + "_spec/MANIFEST"));
 }
 
 TEST_F(CliTest, CsvSplitRejectsUnknownMode) {
@@ -529,12 +592,10 @@ TEST_F(CliTest, DeterministicGivenSeed) {
                  release_dir_ + "_b", "--p", "0.2", "--b", "5.0", "--seed",
                  "42"}),
             0);
-  std::ifstream a(release_dir_ + "_a/data.csv");
-  std::ifstream b(release_dir_ + "_b/data.csv");
-  std::stringstream sa, sb;
-  sa << a.rdbuf();
-  sb << b.rdbuf();
-  EXPECT_EQ(sa.str(), sb.str());
+  EXPECT_EQ(SegmentBytes(release_dir_ + "_a"),
+            SegmentBytes(release_dir_ + "_b"));
+  EXPECT_EQ(Slurp(release_dir_ + "_a/MANIFEST"),
+            Slurp(release_dir_ + "_b/MANIFEST"));
 }
 
 }  // namespace

@@ -170,5 +170,72 @@ TEST(ColumnTest, RebindDictionaryRejectsMissingAndDuplicate) {
   EXPECT_TRUE(n.RebindDictionary({}).IsInvalidArgument());
 }
 
+TEST(ColumnTest, AdoptTakesDecodedStringStorage) {
+  ColumnStorage storage;
+  storage.codes = {1, kNullCode, 0, 1};
+  storage.validity = {1, 0, 1, 1};
+  storage.dictionary = {"y", "x", "unused"};
+  Column c = *Column::Adopt(ValueType::kString, std::move(storage));
+  ASSERT_EQ(c.size(), 4u);
+  EXPECT_EQ(c.null_count(), 1u);
+  EXPECT_EQ(c.StringAt(0), "x");
+  EXPECT_TRUE(c.IsNull(1));
+  EXPECT_EQ(c.StringAt(2), "y");
+  EXPECT_EQ(c.CodeAt(3), 1u);
+  // Entry i of the dictionary is code i, unused entries included.
+  ASSERT_EQ(c.dictionary().size(), 3u);
+  EXPECT_EQ(c.dictionary().At(2), "unused");
+  // The adopted column is an ordinary column: appends intern as usual.
+  c.AppendString("x");
+  EXPECT_EQ(c.CodeAt(4), 1u);
+}
+
+TEST(ColumnTest, AdoptTakesDecodedNumericStorage) {
+  ColumnStorage ints;
+  ints.ints = {7, 0, -3};
+  ints.validity = {1, 0, 1};
+  Column i = *Column::Adopt(ValueType::kInt64, std::move(ints));
+  EXPECT_EQ(i.Int64At(2), -3);
+  EXPECT_TRUE(i.IsNull(1));
+  EXPECT_EQ(i.null_count(), 1u);
+  ColumnStorage doubles;
+  doubles.doubles = {0.5};
+  doubles.validity = {1};
+  Column d = *Column::Adopt(ValueType::kDouble, std::move(doubles));
+  EXPECT_EQ(d.DoubleAt(0), 0.5);
+  EXPECT_EQ(d.null_count(), 0u);
+}
+
+TEST(ColumnTest, AdoptRejectsInconsistentStorage) {
+  ColumnStorage short_payload;
+  short_payload.ints = {1};
+  short_payload.validity = {1, 1};
+  EXPECT_TRUE(Column::Adopt(ValueType::kInt64, std::move(short_payload))
+                  .status()
+                  .IsInvalidArgument());
+  ColumnStorage wrong_type;
+  wrong_type.doubles = {1.0};
+  wrong_type.validity = {1};
+  EXPECT_TRUE(Column::Adopt(ValueType::kInt64, std::move(wrong_type))
+                  .status()
+                  .IsInvalidArgument());
+  ColumnStorage duplicate;
+  duplicate.codes = {0};
+  duplicate.validity = {1};
+  duplicate.dictionary = {"a", "a"};
+  EXPECT_TRUE(Column::Adopt(ValueType::kString, std::move(duplicate))
+                  .status()
+                  .IsInvalidArgument());
+  ColumnStorage bad_validity;
+  bad_validity.ints = {1};
+  bad_validity.validity = {2};
+  EXPECT_TRUE(Column::Adopt(ValueType::kInt64, std::move(bad_validity))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(Column::Adopt(ValueType::kNull, ColumnStorage{})
+                  .status()
+                  .IsInvalidArgument());
+}
+
 }  // namespace
 }  // namespace privateclean

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/io_util.h"
 #include "common/random.h"
 #include "core/privateclean.h"
 #include "table/table_builder.h"
@@ -140,11 +141,42 @@ TEST(ReleaseFuzzTest, RandomSchemasRoundTrip) {
   }
 }
 
+std::string Slurp(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << f.rdbuf();
+  return buffer.str();
+}
+
+void Spit(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f << bytes;
+}
+
+/// Metadata covering every attribute of `table` (the round trip only
+/// needs the schema and domains; no mechanism is applied).
+PrivateRelationMetadata CoveringMetadata(const Table& table) {
+  PrivateRelationMetadata metadata;
+  metadata.dataset_size = table.num_rows();
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    const Field& field = table.schema().field(c);
+    if (field.kind == AttributeKind::kDiscrete) {
+      Domain domain = *Domain::FromColumn(table, field.name,
+                                          /*include_null=*/true);
+      metadata.discrete.emplace(field.name,
+                                DiscreteAttributeMeta{0.2, domain});
+    } else {
+      metadata.numeric.emplace(field.name, NumericAttributeMeta{1.0, 10.0});
+    }
+  }
+  return metadata;
+}
+
 TEST(ReleaseFuzzTest, ParallelReleaseRoundTripMatchesSerial) {
-  // The sharded CSV writer/reader must put the same bytes on disk and
-  // read back the same relation as the serial one — including the \N
-  // null-literal rows the release format uses — for random adversarial
-  // schemas and null-heavy columns.
+  // The parallel segment encoder/decoder must put the same bytes on disk
+  // and read back the same relation as the serial one — including null
+  // rows and the \N literal as a value — for random adversarial schemas
+  // and null-heavy columns.
   std::string base = ::testing::TempDir() + "/pclean_release_par";
   ExecutionOptions exec8;
   exec8.num_threads = 8;
@@ -168,34 +200,20 @@ TEST(ReleaseFuzzTest, ParallelReleaseRoundTripMatchesSerial) {
     std::filesystem::remove_all(dir_serial);
     std::filesystem::remove_all(dir_parallel);
 
-    // Write the raw table as a release relation: fabricate metadata that
-    // covers every attribute (the round trip only needs the schema).
-    PrivateRelationMetadata metadata;
-    metadata.dataset_size = original.num_rows();
-    for (size_t c = 0; c < schema.num_fields(); ++c) {
-      const Field& field = schema.field(c);
-      if (field.kind == AttributeKind::kDiscrete) {
-        Domain domain = *Domain::FromColumn(original, field.name,
-                                            /*include_null=*/true);
-        metadata.discrete.emplace(field.name,
-                                  DiscreteAttributeMeta{0.2, domain});
-      } else {
-        metadata.numeric.emplace(field.name,
-                                 NumericAttributeMeta{1.0, 10.0});
-      }
-    }
+    // Write the raw table as a release relation.
+    PrivateRelationMetadata metadata = CoveringMetadata(original);
     ASSERT_TRUE(WriteRelease(original, metadata, dir_serial).ok());
     ASSERT_TRUE(WriteRelease(original, metadata, dir_parallel, exec8).ok());
 
-    // Identical bytes on disk.
-    auto slurp = [](const std::string& path) {
-      std::ifstream f(path, std::ios::binary);
-      std::ostringstream buffer;
-      buffer << f.rdbuf();
-      return buffer.str();
-    };
-    EXPECT_EQ(slurp(dir_parallel + "/data.csv"),
-              slurp(dir_serial + "/data.csv"));
+    // Identical bytes on disk: every column segment, and every other file.
+    size_t segments = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_serial)) {
+      const std::string name = entry.path().filename().string();
+      EXPECT_EQ(Slurp(dir_parallel + "/" + name), Slurp(entry.path()))
+          << name;
+      if (name.rfind("column_", 0) == 0) ++segments;
+    }
+    EXPECT_EQ(segments, schema.num_fields());
 
     // Identical relations back, in all four write/read combinations.
     auto serial_serial = ReadRelease(dir_serial);
@@ -243,19 +261,7 @@ TEST(ReleaseFuzzTest, ByteLevelCorruptionNeverPassesUnnoticed) {
     b.Row(std::move(row));
   }
   Table original = *b.Finish();
-  PrivateRelationMetadata metadata;
-  metadata.dataset_size = original.num_rows();
-  for (size_t c = 0; c < schema.num_fields(); ++c) {
-    const Field& field = schema.field(c);
-    if (field.kind == AttributeKind::kDiscrete) {
-      Domain domain = *Domain::FromColumn(original, field.name,
-                                          /*include_null=*/true);
-      metadata.discrete.emplace(field.name,
-                                DiscreteAttributeMeta{0.2, domain});
-    } else {
-      metadata.numeric.emplace(field.name, NumericAttributeMeta{1.0, 10.0});
-    }
-  }
+  PrivateRelationMetadata metadata = CoveringMetadata(original);
   const std::string pristine = base + "/pristine";
   ASSERT_TRUE(WriteRelease(original, metadata, pristine).ok());
 
@@ -264,17 +270,6 @@ TEST(ReleaseFuzzTest, ByteLevelCorruptionNeverPassesUnnoticed) {
     files.push_back(entry.path().filename().string());
   }
   ASSERT_GE(files.size(), 3u);
-
-  auto slurp = [](const std::string& path) {
-    std::ifstream f(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << f.rdbuf();
-    return buffer.str();
-  };
-  auto spit = [](const std::string& path, const std::string& bytes) {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f << bytes;
-  };
 
   auto relation_equals_original = [&](const Table& loaded) {
     if (!(loaded.schema() == original.schema()) ||
@@ -301,24 +296,24 @@ TEST(ReleaseFuzzTest, ByteLevelCorruptionNeverPassesUnnoticed) {
 
     const std::string& victim = files[rng.UniformInt(files.size())];
     const std::string victim_path = dir + "/" + victim;
-    std::string bytes = slurp(victim_path);
+    std::string bytes = Slurp(victim_path);
     ASSERT_FALSE(bytes.empty()) << victim;
     const size_t mutation = rng.UniformInt(4);
     switch (mutation) {
       case 0: {  // single bit flip
         size_t offset = rng.UniformInt(bytes.size());
         bytes[offset] ^= static_cast<char>(1u << rng.UniformInt(8));
-        spit(victim_path, bytes);
+        Spit(victim_path, bytes);
         break;
       }
       case 1: {  // truncation
-        spit(victim_path, bytes.substr(0, rng.UniformInt(bytes.size())));
+        Spit(victim_path, bytes.substr(0, rng.UniformInt(bytes.size())));
         break;
       }
       case 2: {  // byte-range deletion
         size_t from = rng.UniformInt(bytes.size());
         size_t len = 1 + rng.UniformInt(bytes.size() - from);
-        spit(victim_path, bytes.erase(from, len));
+        Spit(victim_path, bytes.erase(from, len));
         break;
       }
       default:  // whole-file deletion
@@ -329,15 +324,16 @@ TEST(ReleaseFuzzTest, ByteLevelCorruptionNeverPassesUnnoticed) {
     const bool manifest_gone =
         victim == "MANIFEST" && mutation == 3;
     auto read = ReadRelease(dir);
+    if (manifest_gone) {
+      // No MANIFEST, nothing to check the bytes against: never opened.
+      EXPECT_TRUE(read.status().IsFailedPrecondition())
+          << read.status().ToString();
+    }
     if (read.ok()) {
       // Loading successfully is only acceptable if the data is exactly
-      // the original — which (MANIFEST deletion aside) the checksums
-      // make all but impossible for a damaged payload.
+      // the original — which the checksums make all but impossible for
+      // a damaged payload.
       EXPECT_TRUE(relation_equals_original(read->relation));
-      if (manifest_gone) {
-        EXPECT_EQ(read->format_version, 1);
-        EXPECT_FALSE(read->verified);
-      }
     } else {
       const Status& st = read.status();
       EXPECT_TRUE(st.IsDataLoss() || st.IsNotFound() || st.IsIOError() ||
@@ -356,6 +352,130 @@ TEST(ReleaseFuzzTest, ByteLevelCorruptionNeverPassesUnnoticed) {
           << st.ToString();
     }
     std::filesystem::remove_all(dir);
+  }
+  std::filesystem::remove_all(base);
+}
+
+/// Re-renders `dir`'s MANIFEST with `name`'s current CRC32C and length
+/// and re-seals the manifest checksum: damage to that file then passes
+/// every checksum, and only the decoder can catch it.
+void ResealManifest(const std::string& dir, const std::string& name) {
+  const std::string content = Slurp(dir + "/" + name);
+  const std::string manifest = Slurp(dir + "/MANIFEST");
+  const size_t trailer = manifest.rfind("\nmanifest_crc: ");
+  ASSERT_NE(trailer, std::string::npos);
+  std::istringstream lines(manifest.substr(0, trailer + 1));
+  std::string out;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("file: ", 0) == 0 &&
+        line.size() > name.size() &&
+        line.compare(line.size() - name.size() - 1, std::string::npos,
+                     " " + name) == 0) {
+      line = "file: " + io::Crc32cToHex(io::Crc32c(content)) + " " +
+             std::to_string(content.size()) + " " + name;
+    }
+    out += line + "\n";
+  }
+  out += "manifest_crc: " + io::Crc32cToHex(io::Crc32c(out)) + "\n";
+  Spit(dir + "/MANIFEST", out);
+}
+
+TEST(ReleaseFuzzTest, SegmentCorruptionBehindValidChecksumsIsCaughtByDecoder) {
+  // Adversarial mode: corrupt one column segment, then re-render the
+  // MANIFEST with the corrupted file's correct CRC and length, so the
+  // segment decoder's validation runs instead of the checksum. Every
+  // outcome must be DataLoss naming that segment, or an OK load whose
+  // relation re-encodes to exactly the corrupted bytes: segment
+  // encodings are unique, so an accepted segment is the one encoding of
+  // some well-formed relation (a flipped value bit on a valid row, say).
+  // A crash, an out-of-range code or a second encoding of a relation
+  // breaks the contract; ASan+UBSan run this under the `fuzz` label.
+  const std::string base = ::testing::TempDir() + "/pclean_release_adv";
+  std::filesystem::remove_all(base);
+  std::filesystem::create_directories(base);
+  for (int release = 0; release < 4; ++release) {
+    SCOPED_TRACE("release " + std::to_string(release));
+    Rng setup_rng(9100 + release);
+    Schema schema = RandomSchema(setup_rng);
+    TableBuilder b(schema);
+    const size_t rows = 20 + setup_rng.UniformInt(80);
+    for (size_t r = 0; r < rows; ++r) {
+      std::vector<Value> row;
+      for (size_t c = 0; c < schema.num_fields(); ++c) {
+        row.push_back(RandomCell(schema.field(c), setup_rng));
+      }
+      b.Row(std::move(row));
+    }
+    Table original = *b.Finish();
+    const std::string pristine = base + "/pristine";
+    std::filesystem::remove_all(pristine);
+    ASSERT_TRUE(
+        WriteRelease(original, CoveringMetadata(original), pristine).ok());
+
+    for (int trial = 0; trial < 50; ++trial) {
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      Rng rng(9200 + 100 * release + trial);
+      const std::string dir = base + "/t";
+      std::filesystem::remove_all(dir);
+      std::filesystem::copy(pristine, dir);
+      const size_t column = rng.UniformInt(schema.num_fields());
+      const std::string victim = "column_" + std::to_string(column) + ".bin";
+      std::string bytes = Slurp(dir + "/" + victim);
+      ASSERT_FALSE(bytes.empty());
+      const size_t width =
+          schema.field(column).type == ValueType::kString ? 4 : 8;
+      switch (rng.UniformInt(5)) {
+        case 0:  // single bit flip anywhere, bitmap included
+          bytes[rng.UniformInt(bytes.size())] ^=
+              static_cast<char>(1u << rng.UniformInt(8));
+          break;
+        case 1: {  // one value overwritten with an edge pattern
+          const size_t row = rng.UniformInt(rows);
+          const uint64_t patterns[] = {0, 1, 0xFFFFFFFFu,
+                                       0xFFFFFFFFFFFFFFFFull,
+                                       0x8000000000000000ull,
+                                       rng.UniformInt(1ull << 32)};
+          const uint64_t value = patterns[rng.UniformInt(6)];
+          for (size_t i = 0; i < width; ++i) {
+            bytes[row * width + i] = static_cast<char>(value >> (8 * i));
+          }
+          break;
+        }
+        case 2:  // truncation
+          bytes.resize(rng.UniformInt(bytes.size()));
+          break;
+        case 3:  // extension
+          bytes.append(1 + rng.UniformInt(16),
+                       static_cast<char>(rng.UniformInt(256)));
+          break;
+        default:  // the last bitmap byte replaced
+          bytes.back() = static_cast<char>(rng.UniformInt(256));
+          break;
+      }
+      Spit(dir + "/" + victim, bytes);
+      ResealManifest(dir, victim);
+
+      auto read = ReadRelease(dir);
+      auto verification = VerifyRelease(dir);
+      ASSERT_TRUE(verification.ok()) << verification.status().ToString();
+      for (const ReleaseFileCheck& check : verification->files) {
+        EXPECT_TRUE(check.status.ok()) << check.file;  // checksums pass
+      }
+      if (read.ok()) {
+        EXPECT_TRUE(verification->status.ok());
+        const std::string rewrite = base + "/rewrite";
+        std::filesystem::remove_all(rewrite);
+        ASSERT_TRUE(
+            WriteRelease(read->relation, read->metadata, rewrite).ok());
+        EXPECT_EQ(Slurp(rewrite + "/" + victim), bytes)
+            << victim << " decoded but re-encodes differently";
+      } else {
+        EXPECT_TRUE(read.status().IsDataLoss()) << read.status().ToString();
+        EXPECT_NE(read.status().message().find(victim), std::string::npos)
+            << read.status().message();
+        EXPECT_EQ(verification->status.ToString(), read.status().ToString());
+      }
+    }
   }
   std::filesystem::remove_all(base);
 }

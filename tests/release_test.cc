@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <optional>
@@ -16,6 +18,15 @@
 namespace privateclean {
 namespace {
 
+#ifndef PCLEAN_TEST_DATA_DIR
+#error "PCLEAN_TEST_DATA_DIR must point at the tests/ source directory"
+#endif
+
+/// A format-v2 release (relation in data.csv) written by the last writer
+/// that produced v2, checked in as a compatibility fixture.
+const std::string kV2Fixture =
+    std::string(PCLEAN_TEST_DATA_DIR) + "/golden/v2_release";
+
 class ReleaseTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -28,20 +39,58 @@ class ReleaseTest : public ::testing::Test {
   std::string dir_;
 };
 
-GrrOutput MakeGrr(uint64_t seed = 3) {
+GrrOutput MakeGrr(uint64_t seed = 3, int rows = 200) {
   Schema s = *Schema::Make(
       {Field::Discrete("major"),
        Field{"section", ValueType::kInt64, AttributeKind::kDiscrete},
        Field::Numerical("score", ValueType::kDouble)});
   TableBuilder b(s);
   const char* majors[] = {"EECS", "Math, Applied", "Bio\"x\"", "Physics"};
-  for (int i = 0; i < 200; ++i) {
+  for (int i = 0; i < rows; ++i) {
     Value major = (i % 17 == 0) ? Value::Null() : Value(majors[i % 4]);
     b.Row({major, Value(i % 5), Value(static_cast<double>(i % 10))});
   }
   Table t = *b.Finish();
   Rng rng(seed);
   return *ApplyGrr(t, GrrParams::Uniform(0.2, 1.5), GrrOptions{}, rng);
+}
+
+/// Rewrites one payload file and patches the MANIFEST (file line and
+/// self-checksum) so the release stays checksum-consistent — simulating
+/// a writer that produced `content` for `name`. Pass an empty optional
+/// to delete the file and drop its manifest line entirely (simulating a
+/// release written before dictionary files existed).
+void RewriteReleaseFile(const std::string& dir, const std::string& name,
+                        const std::optional<std::string>& content) {
+  if (content.has_value()) {
+    ASSERT_TRUE(io::WriteFileDurable(dir + "/" + name, *content).ok());
+  } else {
+    std::filesystem::remove(dir + "/" + name);
+  }
+  std::string manifest = *io::ReadFileToString(dir + "/MANIFEST");
+  size_t trailer = manifest.rfind("\nmanifest_crc: ");
+  ASSERT_NE(trailer, std::string::npos);
+  std::string body = manifest.substr(0, trailer + 1);
+  std::string out;
+  size_t pos = 0;
+  while (pos < body.size()) {
+    size_t eol = body.find('\n', pos);
+    ASSERT_NE(eol, std::string::npos);
+    std::string line = body.substr(pos, eol - pos);
+    pos = eol + 1;
+    const bool is_target = line.rfind("file: ", 0) == 0 &&
+                           line.size() > name.size() &&
+                           line.compare(line.size() - name.size() - 1,
+                                        name.size() + 1, " " + name) == 0;
+    if (!is_target) {
+      out += line + "\n";
+    } else if (content.has_value()) {
+      out += "file: " + io::Crc32cToHex(io::Crc32c(*content)) + " " +
+             std::to_string(content->size()) + " " + name + "\n";
+    }  // else: drop the line.
+  }
+  out += "manifest_crc: " + io::Crc32cToHex(io::Crc32c(out)) + "\n";
+  ASSERT_TRUE(io::WriteFileDurable(dir + "/MANIFEST", out).ok());
 }
 
 TEST_F(ReleaseTest, RoundTripsRelationExactly) {
@@ -91,9 +140,9 @@ TEST_F(ReleaseTest, NullDomainValueSurvives) {
 }
 
 TEST_F(ReleaseTest, NullAndEmptyStringDistinctAfterRoundTrip) {
-  // data.csv is written with an explicit null literal, so a NULL string
-  // entry and the empty string stay distinct through a release round
-  // trip — including a value that collides with the literal itself.
+  // A NULL string entry (validity bit clear) and the empty string (a
+  // dictionary entry) stay distinct through a release round trip —
+  // including a value that collides with the CSV null literal `\N`.
   Schema s = *Schema::Make({Field::Discrete("tag"),
                             Field::Numerical("x", ValueType::kDouble)});
   TableBuilder b(s);
@@ -171,27 +220,34 @@ TEST_F(ReleaseTest, MissingDomainFileFails) {
   EXPECT_NE(r.status().message().find("domain_0.csv"), std::string::npos);
 }
 
-TEST_F(ReleaseTest, ReadIsVerifiedV2ByDefault) {
+TEST_F(ReleaseTest, ReadIsVerifiedV3ByDefault) {
   ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
   EXPECT_TRUE(std::filesystem::exists(dir_ + "/MANIFEST"));
+  std::string manifest = *io::ReadFileToString(dir_ + "/MANIFEST");
+  EXPECT_NE(manifest.find("\nversion: 3\n"), std::string::npos);
+  // One segment per column; no data.csv.
+  EXPECT_TRUE(std::filesystem::exists(dir_ + "/column_0.bin"));
+  EXPECT_TRUE(std::filesystem::exists(dir_ + "/column_2.bin"));
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "/column_3.bin"));
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "/data.csv"));
   LoadedRelease loaded = *ReadRelease(dir_);
-  EXPECT_EQ(loaded.format_version, 2);
+  EXPECT_EQ(loaded.format_version, 3);
   EXPECT_TRUE(loaded.verified);
 }
 
-TEST_F(ReleaseTest, V1DirectoryLoadsUnverified) {
-  // A v1 release is exactly a v2 one without the MANIFEST.
-  GrrOutput grr = MakeGrr();
-  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
+TEST_F(ReleaseTest, V1DirectoryIsFailedPrecondition) {
+  // A v1 release is a manifest release without the MANIFEST. Nothing
+  // opens it: it has no checksums, and accepting it would let a deleted
+  // MANIFEST silently downgrade a checksummed release to an unchecked
+  // one.
+  ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
   std::filesystem::remove(dir_ + "/MANIFEST");
   auto loaded = ReadRelease(dir_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->format_version, 1);
-  EXPECT_FALSE(loaded->verified);
-  EXPECT_EQ(loaded->relation.num_rows(), grr.table.num_rows());
-  // Strict verification refuses what it cannot check — otherwise
-  // deleting the MANIFEST would silently downgrade a checksummed
-  // release to an unchecked one.
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsFailedPrecondition())
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("pre-manifest (v1)"),
+            std::string::npos);
   auto verification = VerifyRelease(dir_);
   ASSERT_FALSE(verification.ok());
   EXPECT_TRUE(verification.status().IsFailedPrecondition())
@@ -200,29 +256,29 @@ TEST_F(ReleaseTest, V1DirectoryLoadsUnverified) {
 
 TEST_F(ReleaseTest, BitFlipInDataFileIsDataLossNamingTheFile) {
   ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
-  const std::string path = dir_ + "/data.csv";
+  const std::string path = dir_ + "/column_0.bin";
   std::string bytes = *io::ReadFileToString(path);
   bytes[bytes.size() / 3] ^= 0x40;
   ASSERT_TRUE(io::WriteFileDurable(path, bytes).ok());
-  // Re-writing data.csv alone desyncs it from the MANIFEST checksum.
+  // Re-writing a segment alone desyncs it from the MANIFEST checksum.
   auto r = ReadRelease(dir_);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
-  EXPECT_NE(r.status().message().find("data.csv"), std::string::npos);
+  EXPECT_NE(r.status().message().find("column_0.bin"), std::string::npos);
   EXPECT_NE(r.status().message().find("checksum mismatch"),
             std::string::npos);
 }
 
 TEST_F(ReleaseTest, TruncatedDataFileIsDataLossWithByteCounts) {
   ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
-  const std::string path = dir_ + "/data.csv";
+  const std::string path = dir_ + "/column_2.bin";
   std::string bytes = *io::ReadFileToString(path);
   const size_t cut = bytes.size() / 2;
   ASSERT_TRUE(io::WriteFileDurable(path, bytes.substr(0, cut)).ok());
   auto r = ReadRelease(dir_);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
-  EXPECT_NE(r.status().message().find("data.csv"), std::string::npos);
+  EXPECT_NE(r.status().message().find("column_2.bin"), std::string::npos);
   EXPECT_NE(r.status().message().find(std::to_string(cut)),
             std::string::npos);
 }
@@ -307,38 +363,37 @@ TEST_F(ReleaseTest, WriteReplacesEmptyDirectory) {
   EXPECT_EQ(loaded.relation.num_rows(), grr.table.num_rows());
 }
 
-TEST_F(ReleaseTest, V1ParseErrorsCarryFileAndLineNumber) {
-  // Build a v1 release (no MANIFEST, so the CSV parse is the first line
-  // of defense) and plant a non-numeric cell in the numeric column.
-  ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
-  std::filesystem::remove(dir_ + "/MANIFEST");
+TEST_F(ReleaseTest, V2ParseErrorsCarryFileAndLineNumber) {
+  // Plant a non-numeric cell in the v2 fixture's numeric column and
+  // re-checksum data.csv, so the CSV decode is the line of defense.
+  std::filesystem::copy(kV2Fixture, dir_);
   const std::string path = dir_ + "/data.csv";
   std::string bytes = *io::ReadFileToString(path);
-  // Row 3 of the data (line 4: one header line + 3 data lines).
-  size_t pos = 0;
-  for (int newlines = 0; newlines < 3; ++newlines) {
-    pos = bytes.find('\n', pos) + 1;
-  }
-  size_t eol = bytes.find('\n', pos);
-  bytes.replace(pos, eol - pos, "EECS,1,not-a-number");
-  ASSERT_TRUE(io::WriteFileDurable(path, bytes).ok());
+  // The first record starting with an unquoted EECS; the error names
+  // its physical line, counting the line breaks inside quoted values
+  // above it.
+  const size_t pos = bytes.find("\nEECS,") + 1;
+  ASSERT_NE(pos, 0u);
+  const size_t eol = bytes.find('\n', pos);
+  const size_t line = 1 + std::count(bytes.begin(), bytes.begin() + pos, '\n');
+  bytes.replace(pos, eol - pos, "EECS,1,not-a-number,3");
+  RewriteReleaseFile(dir_, "data.csv", bytes);
   auto r = ReadRelease(dir_);
   ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("data.csv:4"), std::string::npos)
+  EXPECT_NE(r.status().message().find("data.csv:" + std::to_string(line)),
+            std::string::npos)
       << r.status().ToString();
   EXPECT_NE(r.status().message().find("score"), std::string::npos);
 }
 
-TEST_F(ReleaseTest, V1TruncatedFinalRecordIsDataLoss) {
-  ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
-  std::filesystem::remove(dir_ + "/MANIFEST");
+TEST_F(ReleaseTest, V2TruncatedFinalRecordIsDataLoss) {
+  std::filesystem::copy(kV2Fixture, dir_);
   const std::string path = dir_ + "/data.csv";
   std::string bytes = *io::ReadFileToString(path);
-  // Drop the final newline and half the last record — a classic torn
-  // tail that still parses as a "complete" record without the
+  // Drop the final newline and half the last record, and re-checksum: a
+  // torn tail that still parses as a "complete" record without the
   // trailing-newline requirement.
-  ASSERT_TRUE(
-      io::WriteFileDurable(path, bytes.substr(0, bytes.size() - 4)).ok());
+  RewriteReleaseFile(dir_, "data.csv", bytes.substr(0, bytes.size() - 4));
   auto r = ReadRelease(dir_);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
@@ -394,44 +449,6 @@ TEST_F(ReleaseTest, FromPrivateRelationRejectsUncoveredAttribute) {
 
 // --- Dictionary files -----------------------------------------------------
 
-/// Rewrites one payload file and patches the MANIFEST (file line and
-/// self-checksum) so the release stays checksum-consistent — simulating
-/// a writer that produced `content` for `name`. Pass an empty optional
-/// to delete the file and drop its manifest line entirely (simulating a
-/// release written before dictionary files existed).
-void RewriteReleaseFile(const std::string& dir, const std::string& name,
-                        const std::optional<std::string>& content) {
-  if (content.has_value()) {
-    ASSERT_TRUE(io::WriteFileDurable(dir + "/" + name, *content).ok());
-  } else {
-    std::filesystem::remove(dir + "/" + name);
-  }
-  std::string manifest = *io::ReadFileToString(dir + "/MANIFEST");
-  size_t trailer = manifest.rfind("\nmanifest_crc: ");
-  ASSERT_NE(trailer, std::string::npos);
-  std::string body = manifest.substr(0, trailer + 1);
-  std::string out;
-  size_t pos = 0;
-  while (pos < body.size()) {
-    size_t eol = body.find('\n', pos);
-    ASSERT_NE(eol, std::string::npos);
-    std::string line = body.substr(pos, eol - pos);
-    pos = eol + 1;
-    const bool is_target = line.rfind("file: ", 0) == 0 &&
-                           line.size() > name.size() &&
-                           line.compare(line.size() - name.size() - 1,
-                                        name.size() + 1, " " + name) == 0;
-    if (!is_target) {
-      out += line + "\n";
-    } else if (content.has_value()) {
-      out += "file: " + io::Crc32cToHex(io::Crc32c(*content)) + " " +
-             std::to_string(content->size()) + " " + name + "\n";
-    }  // else: drop the line.
-  }
-  out += "manifest_crc: " + io::Crc32cToHex(io::Crc32c(out)) + "\n";
-  ASSERT_TRUE(io::WriteFileDurable(dir + "/MANIFEST", out).ok());
-}
-
 TEST_F(ReleaseTest, DictionaryFilesAreWrittenAndManifestListed) {
   GrrOutput grr = MakeGrr();
   ASSERT_TRUE(WriteRelease(grr, dir_).ok());
@@ -465,30 +482,62 @@ TEST_F(ReleaseTest, ReleaseWithoutDictionaryFilesStillLoads) {
   // A v2 release written before dictionary files existed: same layout,
   // no dict_<i>.csv entries. The reader keeps its parse-order
   // dictionary — values (not codes) are the compatibility contract.
-  GrrOutput grr = MakeGrr();
-  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
+  const LoadedRelease fixture = *ReadRelease(kV2Fixture);
+  std::filesystem::copy(kV2Fixture, dir_);
   RewriteReleaseFile(dir_, "dict_0.csv", std::nullopt);
   auto loaded = ReadRelease(dir_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded->verified);
-  for (size_t r = 0; r < grr.table.num_rows(); ++r) {
+  EXPECT_EQ(loaded->format_version, 2);
+  for (size_t r = 0; r < fixture.relation.num_rows(); ++r) {
     EXPECT_EQ(loaded->relation.column(0).ValueAt(r),
-              grr.table.column(0).ValueAt(r))
+              fixture.relation.column(0).ValueAt(r))
         << "row " << r;
   }
 }
 
-TEST_F(ReleaseTest, DictionaryMissingUsedValueIsDataLoss) {
-  GrrOutput grr = MakeGrr();
-  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
-  // A consistent-looking dictionary that does not cover the column's
-  // values: checksums pass, the semantic rebind must fail.
-  RewriteReleaseFile(dir_, "dict_0.csv",
-                     std::string("major\nnot_a_real_major\n"));
+TEST_F(ReleaseTest, V3ReleaseWithoutItsDictionaryFileIsDataLoss) {
+  // Format v3 codes index the dict file directly, so it is required.
+  ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
+  RewriteReleaseFile(dir_, "dict_0.csv", std::nullopt);
   auto r = ReadRelease(dir_);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
   EXPECT_NE(r.status().message().find("dict_0.csv"), std::string::npos);
+}
+
+TEST_F(ReleaseTest, DictionaryMissingUsedValueIsDataLoss) {
+  // A consistent-looking dictionary that does not cover the column's
+  // values: checksums pass, the semantic check must fail — in v2 the
+  // rebind, in v3 the segment's code-range check.
+  std::filesystem::copy(kV2Fixture, dir_ + "_v2");
+  RewriteReleaseFile(dir_ + "_v2", "dict_0.csv",
+                     std::string("major\nnot_a_real_major\n"));
+  auto v2 = ReadRelease(dir_ + "_v2");
+  std::filesystem::remove_all(dir_ + "_v2");
+  ASSERT_FALSE(v2.ok());
+  EXPECT_TRUE(v2.status().IsDataLoss()) << v2.status().ToString();
+  EXPECT_NE(v2.status().message().find("dict_0.csv"), std::string::npos);
+
+  ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
+  RewriteReleaseFile(dir_, "dict_0.csv",
+                     std::string("major\nnot_a_real_major\n"));
+  auto v3 = ReadRelease(dir_);
+  ASSERT_FALSE(v3.ok());
+  EXPECT_TRUE(v3.status().IsDataLoss()) << v3.status().ToString();
+  EXPECT_NE(v3.status().message().find("dict_0.csv"), std::string::npos);
+  EXPECT_NE(v3.status().message().find("column_0.bin"), std::string::npos);
+}
+
+TEST_F(ReleaseTest, DuplicateDictionaryEntryIsDataLoss) {
+  ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
+  std::string dict = *io::ReadFileToString(dir_ + "/dict_0.csv");
+  RewriteReleaseFile(dir_, "dict_0.csv", dict + "EECS\n");
+  auto r = ReadRelease(dir_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("dict_0.csv"), std::string::npos);
+  EXPECT_NE(r.status().message().find("duplicate"), std::string::npos);
 }
 
 TEST_F(ReleaseTest, NullEntryInDictionaryFileIsDataLoss) {
@@ -676,14 +725,16 @@ TEST_F(ReleaseTest, KnownMechanismWithInfeasibleParametersIsDataLoss) {
   EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
 }
 
-TEST_F(ReleaseTest, V1ReleaseLoadsWithLegacyGrrDefault) {
-  GrrOutput grr = MakeGrr();
-  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
+TEST_F(ReleaseTest, V1DirectoryFailsOpenRelease) {
+  // The analyst-side open refuses a pre-manifest directory with the same
+  // typed status as ReadRelease; a release with a MANIFEST but no
+  // mechanism line still defaults to GRR (MissingMechanismLineLoads...).
+  ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
   std::filesystem::remove(dir_ + "/MANIFEST");
-  auto loaded = ReadRelease(dir_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->format_version, 1);
-  EXPECT_EQ(loaded->metadata.mechanism_spec.name, "grr");
+  auto opened = OpenRelease(dir_);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsFailedPrecondition())
+      << opened.status().ToString();
 }
 
 TEST_F(ReleaseTest, EndToEndProviderAnalystSeparation) {
@@ -871,6 +922,201 @@ TEST_F(ReleaseTest, ManifestWithoutSchemaSectionLoadsAsLegacy) {
   auto read = ReadRelease(dir_);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(read->metadata.relation_name, "r");
+}
+
+// --- Format-v3 column segments ----------------------------------------------
+
+/// 203 rows (not a multiple of 8, so the bitmap has padding bits) with
+/// nulls in every column type: a string and an int64 discrete attribute,
+/// a double and an int64 numerical one.
+GrrOutput MakeNullHeavy() {
+  Schema s = *Schema::Make(
+      {Field::Discrete("tag"),
+       Field{"level", ValueType::kInt64, AttributeKind::kDiscrete},
+       Field::Numerical("x", ValueType::kDouble),
+       Field::Numerical("n", ValueType::kInt64)});
+  TableBuilder b(s);
+  for (int i = 0; i < 203; ++i) {
+    b.Row({i % 5 == 0 ? Value::Null() : Value("t" + std::to_string(i % 6)),
+           i % 7 == 0 ? Value::Null() : Value(int64_t{i % 4}),
+           i % 3 == 0 ? Value::Null() : Value(i * 0.5),
+           i % 4 == 0 ? Value::Null() : Value(int64_t{i % 9})});
+  }
+  Table t = *b.Finish();
+  Rng rng(17);
+  return *ApplyGrr(t, GrrParams::Uniform(0.2, 1.0), GrrOptions{}, rng);
+}
+
+/// Overwrites `width` bytes of a segment at `offset` with the
+/// little-endian `value` and re-checksums it in the MANIFEST, so the
+/// segment decoder — not the CRC — has to catch the damage.
+void PatchSegment(const std::string& dir, const std::string& name,
+                  size_t offset, uint64_t value, size_t width) {
+  std::string bytes = *io::ReadFileToString(dir + "/" + name);
+  ASSERT_LE(offset + width, bytes.size());
+  for (size_t b = 0; b < width; ++b) {
+    bytes[offset + b] = static_cast<char>(value >> (8 * b));
+  }
+  RewriteReleaseFile(dir, name, bytes);
+}
+
+void ExpectDataLossAt(const std::string& dir, const std::string& file,
+                      size_t byte, const std::string& what) {
+  auto r = ReadRelease(dir);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
+  const std::string message = r.status().message();
+  EXPECT_NE(message.find(file + "' byte " + std::to_string(byte) + ":"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find(what), std::string::npos) << message;
+  // VerifyRelease runs the same decoder over the bytes it verified.
+  auto verification = VerifyRelease(dir);
+  ASSERT_TRUE(verification.ok()) << verification.status().ToString();
+  EXPECT_EQ(verification->status.ToString(), r.status().ToString());
+}
+
+TEST_F(ReleaseTest, NullHeavySegmentsRoundTripExactly) {
+  GrrOutput grr = MakeNullHeavy();
+  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
+  // uint32 codes + bitmap; int64/double values + bitmap.
+  EXPECT_EQ(std::filesystem::file_size(dir_ + "/column_0.bin"),
+            203u * 4 + 26);
+  EXPECT_EQ(std::filesystem::file_size(dir_ + "/column_2.bin"),
+            203u * 8 + 26);
+  LoadedRelease loaded = *ReadRelease(dir_);
+  for (size_t c = 0; c < grr.table.num_columns(); ++c) {
+    const Column& want = grr.table.column(c);
+    const Column& got = loaded.relation.column(c);
+    EXPECT_EQ(got.null_count(), want.null_count()) << "col " << c;
+    for (size_t r = 0; r < want.size(); ++r) {
+      ASSERT_EQ(got.ValueAt(r), want.ValueAt(r)) << "row " << r << " col "
+                                                 << c;
+    }
+  }
+  EXPECT_EQ(loaded.relation.column(0).codes(), grr.table.column(0).codes());
+}
+
+TEST_F(ReleaseTest, SegmentsAreByteIdenticalAtEveryThreadCount) {
+  GrrOutput grr = MakeNullHeavy();
+  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
+  for (size_t threads : {2u, 8u}) {
+    ExecutionOptions exec;
+    exec.num_threads = threads;
+    const std::string other = dir_ + "_t" + std::to_string(threads);
+    std::filesystem::remove_all(other);
+    ASSERT_TRUE(WriteRelease(grr, other, exec).ok());
+    size_t files = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      const std::string name = entry.path().filename().string();
+      EXPECT_EQ(*io::ReadFileToString(other + "/" + name),
+                *io::ReadFileToString(entry.path().string()))
+          << name << " at " << threads << " threads";
+      ++files;
+    }
+    EXPECT_GE(files, 7u);  // MANIFEST, meta, 4 segments, domains, dict
+    // Decoding in parallel yields the same relation, codes included.
+    LoadedRelease loaded = *ReadRelease(other, exec);
+    EXPECT_EQ(loaded.relation.column(0).codes(),
+              grr.table.column(0).codes());
+    std::filesystem::remove_all(other);
+  }
+}
+
+TEST_F(ReleaseTest, SegmentWrongLengthIsDataLossNamingFileAndByte) {
+  ASSERT_TRUE(WriteRelease(MakeNullHeavy(), dir_).ok());
+  const std::string bytes = *io::ReadFileToString(dir_ + "/column_2.bin");
+  ASSERT_EQ(bytes.size(), 203u * 8 + 26);
+  // A checksum-consistent segment one value too long, then one byte too
+  // short: the length check names the file and where it diverges.
+  for (const std::string& wrong :
+       {bytes + std::string(8, '\0'), bytes.substr(0, bytes.size() - 1)}) {
+    RewriteReleaseFile(dir_, "column_2.bin", wrong);
+    auto r = ReadRelease(dir_);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
+    const std::string message = r.status().message();
+    EXPECT_NE(message.find("column_2.bin"), std::string::npos) << message;
+    EXPECT_NE(message.find("need 1650"), std::string::npos) << message;
+    EXPECT_NE(message.find("diverges at byte " +
+                           std::to_string(std::min<size_t>(wrong.size(),
+                                                           1650))),
+              std::string::npos)
+        << message;
+  }
+}
+
+TEST_F(ReleaseTest, SegmentCodeOutsideDictionaryIsDataLoss) {
+  GrrOutput grr = MakeNullHeavy();
+  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
+  const Column& tag = grr.table.column(0);
+  size_t row = 0;
+  while (tag.IsNull(row)) ++row;
+  PatchSegment(dir_, "column_0.bin", row * 4, tag.dictionary().size(), 4);
+  ExpectDataLossAt(dir_, "column_0.bin", row * 4,
+                   "holds " + std::to_string(tag.dictionary().size()) +
+                       " entries");
+}
+
+TEST_F(ReleaseTest, SegmentCodeDisagreeingWithValidityIsDataLoss) {
+  GrrOutput grr = MakeNullHeavy();
+  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
+  const Column& tag = grr.table.column(0);
+  size_t valid_row = 0;
+  while (tag.IsNull(valid_row)) ++valid_row;
+  size_t null_row = 0;
+  while (!tag.IsNull(null_row)) ++null_row;
+  const std::string pristine = *io::ReadFileToString(dir_ + "/column_0.bin");
+  // The null code on a valid row...
+  PatchSegment(dir_, "column_0.bin", valid_row * 4, kNullCode, 4);
+  ExpectDataLossAt(dir_, "column_0.bin", valid_row * 4,
+                   "holds the null code but its validity bit is set");
+  // ...and a real code on a null row.
+  RewriteReleaseFile(dir_, "column_0.bin", pristine);
+  PatchSegment(dir_, "column_0.bin", null_row * 4, 0, 4);
+  ExpectDataLossAt(dir_, "column_0.bin", null_row * 4,
+                   "is null but holds code 0");
+}
+
+TEST_F(ReleaseTest, SegmentNonZeroBitmapPaddingIsDataLoss) {
+  ASSERT_TRUE(WriteRelease(MakeNullHeavy(), dir_).ok());
+  // 203 rows use 3 bits of the last bitmap byte; set a padding bit.
+  const std::string bytes = *io::ReadFileToString(dir_ + "/column_3.bin");
+  const size_t last = bytes.size() - 1;
+  PatchSegment(dir_, "column_3.bin", last,
+               static_cast<unsigned char>(bytes[last]) | 0x80u, 1);
+  ExpectDataLossAt(dir_, "column_3.bin", last, "padding bits are not zero");
+}
+
+TEST_F(ReleaseTest, SegmentNonZeroNullPayloadIsDataLoss) {
+  GrrOutput grr = MakeNullHeavy();
+  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
+  const Column& x = grr.table.column(2);
+  size_t null_row = 0;
+  while (!x.IsNull(null_row)) ++null_row;
+  // -0.0 compares equal to 0.0 but is a second encoding of the same
+  // null row; the decoder insists on all-zero bytes.
+  PatchSegment(dir_, "column_2.bin", null_row * 8, 0x8000000000000000ull, 8);
+  ExpectDataLossAt(dir_, "column_2.bin", null_row * 8,
+                   "is null but its value bytes are not zero");
+}
+
+TEST_F(ReleaseTest, ManifestVersionOtherThanTwoOrThreeIsFailedPrecondition) {
+  ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
+  for (const std::string& version : {"1", "4"}) {
+    PatchManifestLines(dir_, [&](const std::string& line) {
+      if (line.rfind("version: ", 0) == 0) {
+        return std::optional<std::string>("version: " + version);
+      }
+      return std::optional<std::string>(line);
+    });
+    auto r = ReadRelease(dir_);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsFailedPrecondition()) << r.status().ToString();
+    EXPECT_NE(r.status().message().find("versions 2 and 3"),
+              std::string::npos)
+        << r.status().message();
+  }
 }
 
 }  // namespace

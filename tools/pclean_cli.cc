@@ -8,6 +8,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/io_util.h"
 #include "common/string_util.h"
 #include "core/privateclean.h"
 #include "server/client.h"
@@ -131,6 +132,7 @@ void PrintUsage(std::ostream& out) {
          "         [--seed N] [--threads N] [--csv-split MODE]\n"
          "  pclean info --release release_dir\n"
          "  pclean verify release_dir\n"
+         "  pclean export --release release_dir --output data.csv\n"
          "  pclean query --release release_dir --sql \"SELECT ...\"\n"
          "         [--direct] [--confidence C] [--threads N]\n"
          "         [--bootstrap R] [--seed N] [--replace attr:from=to]...\n"
@@ -149,6 +151,8 @@ void PrintUsage(std::ostream& out) {
          "  and exits non-zero on any corruption (Data loss), a missing\n"
          "  release (Not found), or an unverifiable pre-manifest release\n"
          "  (Failed precondition).\n"
+         "  export writes the release's private relation as CSV (header\n"
+         "  row, \\N for NULL): the data.csv of a format-v2 release.\n"
          "\n"
          "  --mechanism picks the discrete randomization family: grr\n"
          "  (paper generalized randomized response, the default), hlm\n"
@@ -309,6 +313,17 @@ Status RunVerify(const ParsedArgs& args, std::string dir, std::ostream& out) {
   }
   if (!verification.status.ok()) return verification.status;
   out << "verification: OK\n";
+  return Status::OK();
+}
+
+Status RunExport(const ParsedArgs& args, std::ostream& out) {
+  PCLEAN_ASSIGN_OR_RETURN(std::string dir, args.One("release"));
+  PCLEAN_ASSIGN_OR_RETURN(std::string output, args.One("output"));
+  PCLEAN_ASSIGN_OR_RETURN(LoadedRelease release, ReadRelease(dir));
+  PCLEAN_RETURN_NOT_OK(io::WriteFileDurable(
+      output, ReleaseRelationToCsv(release.relation)));
+  out << "exported " << release.relation.num_rows() << " rows to " << output
+      << "\n";
   return Status::OK();
 }
 
@@ -626,6 +641,8 @@ int RunPcleanCli(const std::vector<std::string>& args, std::ostream& out,
     st = RunQuery(*parsed, out);
   } else if (command == "verify") {
     st = RunVerify(*parsed, std::move(verify_dir), out);
+  } else if (command == "export") {
+    st = RunExport(*parsed, out);
   } else if (command == "budget") {
     st = RunBudget(*parsed, budget_action, out);
   } else if (command == "serve") {

@@ -29,6 +29,11 @@ namespace privateclean {
 ///       results. Exits non-zero on corruption, a missing release, or
 ///       a pre-manifest (v1) release, which has no checksums to check.
 ///
+///   pclean export --release release_dir --output file.csv
+///       Writes the release's private relation as CSV (header row, \N
+///       for NULL), byte for byte what a format-v2 release kept in
+///       data.csv.
+///
 ///   pclean query --release release_dir --sql "SELECT ..."
 ///          [--direct] [--confidence C] [--replace attr:from=to]...
 ///       Opens a release, optionally applies find-and-replace cleaning
