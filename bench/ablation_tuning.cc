@@ -50,7 +50,7 @@ int main() {
         auto pt = PrivateTable::Create(data, ToGrrParams(*tuning),
                                        GrrOptions{}, rng);
         if (!pt.ok()) continue;
-        auto r = pt->Count(pred);
+        auto r = pt->Execute(AggregateQuery::Count(pred));
         if (!r.ok()) continue;
         errors.push_back(std::abs(r->estimate - truth) / s);
       }

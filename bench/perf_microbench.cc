@@ -143,7 +143,7 @@ void BM_EndToEndQuery(benchmark::State& state) {
   Predicate pred = Predicate::In(
       "category", {SyntheticCategory(0), SyntheticCategory(1)});
   for (auto _ : state) {
-    auto r = pt.Count(pred);
+    auto r = pt.Execute(AggregateQuery::Count(pred));
     benchmark::DoNotOptimize(r.ok());
   }
 }

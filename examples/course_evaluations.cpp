@@ -64,8 +64,8 @@ int main() {
   }
 
   Predicate europe = Predicate::Equals("region", "europe");
-  auto count = private_table->Count(europe);
-  auto avg = private_table->Avg("enthusiasm", europe);
+  auto count = private_table->Execute(AggregateQuery::Count(europe));
+  auto avg = private_table->Execute(AggregateQuery::Avg("enthusiasm", europe));
   auto direct_count =
       private_table->ExecuteDirect(AggregateQuery::Count(europe));
 

@@ -84,7 +84,7 @@ int main() {
 
   // --- Query: AVG(score) WHERE major = 'Mech. Eng.' ----------------------
   Predicate pred = Predicate::Equals("major", "Mech. Eng.");
-  auto pc = private_table->Avg("score", pred);
+  auto pc = private_table->Execute(AggregateQuery::Avg("score", pred));
   auto direct = private_table->ExecuteDirect(
       AggregateQuery::Avg("score", pred));
   if (!pc.ok() || !direct.ok()) {

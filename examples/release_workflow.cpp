@@ -78,7 +78,8 @@ Status RunAnalyst(const std::string& dir,
   Predicate pred = Predicate::In(
       "category", {SyntheticCategory(0), SyntheticCategory(1),
                    SyntheticCategory(2)});
-  PCLEAN_ASSIGN_OR_RETURN(QueryResult count, pt.Count(pred));
+  PCLEAN_ASSIGN_OR_RETURN(QueryResult count,
+                          pt.Execute(AggregateQuery::Count(pred)));
   PCLEAN_ASSIGN_OR_RETURN(
       QueryResult direct, pt.ExecuteDirect(AggregateQuery::Count(pred)));
   std::printf("[analyst]  count(category in top-3):\n");

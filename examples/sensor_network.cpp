@@ -68,8 +68,8 @@ int main() {
   }
 
   Predicate healthy = Predicate::IsNotNull("sensor_id");
-  auto count = private_table->Count(healthy);
-  auto avg_temp = private_table->Avg("temp", healthy);
+  auto count = private_table->Execute(AggregateQuery::Count(healthy));
+  auto avg_temp = private_table->Execute(AggregateQuery::Avg("temp", healthy));
 
   double truth_count =
       *ExecuteAggregate(data.clean, AggregateQuery::Count(healthy));
@@ -108,7 +108,7 @@ int main() {
 
   // Per-sensor drill-down for one healthy sensor.
   Predicate s1 = Predicate::Equals("sensor_id", "s1");
-  auto s1_count = private_table->Count(s1);
+  auto s1_count = private_table->Execute(AggregateQuery::Count(s1));
   if (s1_count.ok()) {
     double s1_truth =
         *ExecuteAggregate(data.clean, AggregateQuery::Count(s1));

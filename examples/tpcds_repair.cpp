@@ -81,7 +81,7 @@ int main() {
   for (const auto& [country, true_count] : sorted) {
     if (shown++ >= 5) break;
     Predicate pred = Predicate::Equals("ca_country", country);
-    auto pc = private_table->Count(pred);
+    auto pc = private_table->Execute(AggregateQuery::Count(pred));
     auto direct = private_table->ExecuteDirect(AggregateQuery::Count(pred));
     std::printf("  %-16s %10zu %14.1f %10.1f\n",
                 country.ToString().c_str(), true_count,

@@ -29,6 +29,14 @@ std::string ToLowerAscii(std::string_view s) {
   return out;
 }
 
+std::string ToUpperAscii(std::string_view s) {
+  std::string out(s);
+  for (char& c : out) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  return out;
+}
+
 std::vector<std::string> Split(std::string_view s, char delim) {
   std::vector<std::string> out;
   size_t start = 0;

@@ -12,8 +12,9 @@ namespace privateclean {
 /// Removes leading and trailing ASCII whitespace.
 std::string_view TrimWhitespace(std::string_view s);
 
-/// ASCII lower-casing (locale-independent).
+/// ASCII lower-/upper-casing (locale-independent).
 std::string ToLowerAscii(std::string_view s);
+std::string ToUpperAscii(std::string_view s);
 
 /// Splits on a single delimiter character; keeps empty fields, so
 /// Split("a,,b", ',') == {"a", "", "b"}.

@@ -1,33 +1,17 @@
 #include "core/admission.h"
 
-#include <set>
 #include <vector>
 
 #include "common/string_util.h"
 #include "privacy/accountant.h"
-#include "query/sql_expr.h"
 
 namespace privateclean {
 
-Result<double> QueryEpsilonCost(const PrivateTable& table,
-                                const ParsedSql& parsed) {
-  std::set<std::string> attributes;
-  if (parsed.where.has_value()) {
-    for (const std::string& a : SqlExprAttributes(*parsed.where)) {
-      attributes.insert(a);
-    }
-  }
-  if (!parsed.query.numeric_attribute.empty()) {
-    attributes.insert(parsed.query.numeric_attribute);
-  }
-  if (!parsed.distinct_attribute.empty()) {
-    attributes.insert(parsed.distinct_attribute);
-  }
-  if (!parsed.group_by.empty()) {
-    attributes.insert(parsed.group_by);
-  }
-  if (attributes.empty()) return 0.0;
+namespace {
 
+Result<double> PriceAttributes(const PrivateTable& table,
+                               const std::vector<std::string>& attributes) {
+  if (attributes.empty()) return 0.0;
   PCLEAN_ASSIGN_OR_RETURN(PrivacyReport report,
                           AccountPrivacy(table.metadata()));
   double cost = 0.0;
@@ -43,20 +27,25 @@ Result<double> QueryEpsilonCost(const PrivateTable& table,
   return cost;
 }
 
+}  // namespace
+
+Result<double> QueryEpsilonCost(const PrivateTable& table,
+                                const ParsedSql& parsed) {
+  return PriceAttributes(
+      table, PlanQuery(table, parsed, QueryMode::kCorrected).attributes);
+}
+
 Result<AdmissionTicket> AdmitSqlQuery(BudgetLedger& ledger,
                                       const std::string& tenant,
                                       const PrivateTable& table,
                                       const std::string& sql) {
   PCLEAN_ASSIGN_OR_RETURN(ParsedSql parsed, ParseSql(sql));
-  // Reject a bad FROM name before pricing: admission must agree with
-  // execution about which queries exist at all.
-  const std::string& relation = table.metadata().relation_name;
-  if (!relation.empty() && parsed.table_name != relation) {
-    return Status::NotFound("unknown relation '" + parsed.table_name +
-                            "' in FROM: this release serves relation '" +
-                            relation + "'; nothing was charged");
-  }
-  PCLEAN_ASSIGN_OR_RETURN(double cost, QueryEpsilonCost(table, parsed));
+  const QueryPlan plan = PlanQuery(table, parsed, QueryMode::kCorrected);
+  // An unknown FROM name is the plan's one NotFound: reject it before
+  // pricing, so admission agrees with execution about which queries
+  // exist at all.
+  if (plan.status.IsNotFound()) return plan.status;
+  PCLEAN_ASSIGN_OR_RETURN(double cost, PriceAttributes(table, plan.attributes));
 
   AdmissionTicket ticket;
   ticket.cost = cost;
@@ -74,17 +63,6 @@ Result<AdmissionTicket> AdmitSqlQuery(BudgetLedger& ledger,
     PCLEAN_RETURN_NOT_OK(ledger.Charge(tenant, cost));
   }
   return ticket;
-}
-
-Result<SqlResultSet> ExecuteSqlQueryAdmitted(BudgetLedger& ledger,
-                                             const std::string& tenant,
-                                             const PrivateTable& table,
-                                             const std::string& sql,
-                                             const QueryOptions& options) {
-  PCLEAN_ASSIGN_OR_RETURN(AdmissionTicket ticket,
-                          AdmitSqlQuery(ledger, tenant, table, sql));
-  (void)ticket;
-  return ExecuteSqlQuery(table, sql, options);
 }
 
 std::string RenderAdmissionLine(const std::string& tenant,

@@ -12,12 +12,13 @@ namespace privateclean {
 
 /// The ε price of one parsed query against `table`'s mechanism
 /// metadata: the sum of per-attribute ε (privacy/accountant.h, mechanism
-/// aware) over the distinct attributes the query reads — the WHERE tree,
-/// the aggregate's argument, GROUP BY, and DISTINCT. A query touching no
-/// attribute (a bare COUNT(1)) costs 0: it reveals only the public
-/// release size. An attribute the relation does not have is a typed
-/// NotFound naming it — priced queries never reach execution to find
-/// out there.
+/// aware) over QueryPlan::attributes — the distinct attributes the query
+/// reads (WHERE tree, the aggregate's argument, GROUP BY, DISTINCT), as
+/// PlanQuery records them for every plan, rejected ones included. A
+/// query touching no attribute (a bare COUNT(1)) costs 0: it reveals
+/// only the public release size. An attribute the relation does not
+/// have is a typed NotFound naming it — priced queries never reach
+/// execution to find out there.
 Result<double> QueryEpsilonCost(const PrivateTable& table,
                                 const ParsedSql& parsed);
 
@@ -30,15 +31,18 @@ struct AdmissionTicket {
   TenantBudget before;
 };
 
-/// Admission control: prices `sql` with QueryEpsilonCost and charges the
-/// tenant's budget in `ledger` — durably, BEFORE any execution side
-/// effect. Typed failures:
+/// Admission control: plans `sql` once (PlanQuery), prices the plan's
+/// attributes and charges the tenant's budget in `ledger` — durably,
+/// BEFORE any execution side effect. A form the estimators then decline
+/// is still charged: the price depends only on what the query reads.
+/// Typed failures:
 ///   ResourceExhausted — the charge overdrafts; names the tenant, spent,
 ///                       and remaining ε. Nothing is charged.
 ///   InvalidArgument   — the SQL does not parse.
 ///   NotFound          — the query references an attribute the relation
-///                       does not have (nothing is charged), or the FROM
-///                       name is not the relation the table serves.
+///                       does not have, or the FROM name is not the
+///                       relation the table serves (the plan's own
+///                       rejection). Nothing is charged.
 Result<AdmissionTicket> AdmitSqlQuery(BudgetLedger& ledger,
                                       const std::string& tenant,
                                       const PrivateTable& table,
@@ -52,15 +56,6 @@ Result<AdmissionTicket> AdmitSqlQuery(BudgetLedger& ledger,
 std::string RenderAdmissionLine(const std::string& tenant,
                                 const AdmissionTicket& ticket,
                                 const TenantBudget& after);
-
-/// The admission-controlled query entry point: AdmitSqlQuery, then
-/// ExecuteSqlQuery. The charge is durable before the estimators run, so
-/// a crash mid-query can strand at most this one query's ε as spent-
-/// but-unanswered — never an answered query as unspent.
-Result<SqlResultSet> ExecuteSqlQueryAdmitted(
-    BudgetLedger& ledger, const std::string& tenant,
-    const PrivateTable& table, const std::string& sql,
-    const QueryOptions& options = QueryOptions());
 
 }  // namespace privateclean
 

@@ -150,39 +150,4 @@ Result<QueryResult> EstimateAvg(const QueryScanStats& stats,
   return result;
 }
 
-QueryResult DirectCount(const QueryScanStats& stats) {
-  QueryResult r;
-  r.estimator = EstimatorKind::kDirect;
-  r.estimate = static_cast<double>(stats.matching_rows);
-  r.nominal = r.estimate;
-  r.ci = ConfidenceInterval{r.estimate, r.estimate};
-  r.s = stats.total_rows;
-  return r;
-}
-
-QueryResult DirectSum(const QueryScanStats& stats) {
-  QueryResult r;
-  r.estimator = EstimatorKind::kDirect;
-  r.estimate = stats.matching_sum;
-  r.nominal = r.estimate;
-  r.ci = ConfidenceInterval{r.estimate, r.estimate};
-  r.s = stats.total_rows;
-  return r;
-}
-
-Result<QueryResult> DirectAvg(const QueryScanStats& stats) {
-  if (stats.matching_rows == 0) {
-    return Status::FailedPrecondition(
-        "avg undefined: no rows match the predicate");
-  }
-  QueryResult r;
-  r.estimator = EstimatorKind::kDirect;
-  r.estimate =
-      stats.matching_sum / static_cast<double>(stats.matching_rows);
-  r.nominal = r.estimate;
-  r.ci = ConfidenceInterval{r.estimate, r.estimate};
-  r.s = stats.total_rows;
-  return r;
-}
-
 }  // namespace privateclean

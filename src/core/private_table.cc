@@ -5,28 +5,11 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/check.h"
+#include "core/sql_execution.h"
 #include "privacy/allocation.h"
 
 namespace privateclean {
-
-namespace {
-
-/// Stamps QueryResult::memory with the scanned relation's footprint and
-/// the process-wide arena totals at result time.
-void StampMemoryStats(const Table& relation, QueryResult* r) {
-  ColumnMemory m = relation.MemoryUsage();
-  r->memory.relation_payload_bytes = m.payload_bytes;
-  r->memory.dictionary_bytes = m.dictionary_bytes;
-  r->memory.dictionary_entries = m.dictionary_entries;
-  ArenaSiteStats totals = ArenaProfiler::Totals();
-  r->memory.arena_live_bytes = totals.live_bytes;
-  r->memory.arena_peak_bytes = totals.peak_live_bytes;
-  r->memory.arena_alloc_calls = totals.alloc_calls;
-}
-
-}  // namespace
 
 Result<PrivateTable> PrivateTable::Create(const Table& original,
                                           const GrrParams& params,
@@ -131,8 +114,9 @@ Status PrivateTable::Clean(const CleaningPipeline& pipeline) {
   return Status::OK();
 }
 
-Status PrivateTable::RejectNumericPredicateAttribute(
-    const std::string& attr) const {
+Result<EstimationInputs> PrivateTable::BaseInputsFor(
+    const std::string& attr, const QueryOptions& options,
+    const ProvenanceGraph** graph) const {
   if (metadata_.numeric.count(attr) > 0) {
     return Status::FailedPrecondition(
         "not privately answerable: predicate on numeric attribute '" + attr +
@@ -140,14 +124,6 @@ Status PrivateTable::RejectNumericPredicateAttribute(
         "(Laplace-noised numerics have no transition matrix); use the Direct "
         "baseline or a predicate on a discrete attribute");
   }
-  return Status::OK();
-}
-
-Result<EstimationInputs> PrivateTable::InputsForPredicate(
-    const Predicate& predicate, const std::string& numeric_attribute,
-    const QueryOptions& options) const {
-  const std::string& attr = predicate.attribute();
-  PCLEAN_RETURN_NOT_OK(RejectNumericPredicateAttribute(attr));
   PCLEAN_ASSIGN_OR_RETURN(std::string anchor, provenance_.AnchorOf(attr));
   auto meta_it = metadata_.discrete.find(anchor);
   if (meta_it == metadata_.discrete.end()) {
@@ -155,21 +131,40 @@ Result<EstimationInputs> PrivateTable::InputsForPredicate(
         "attribute '" + attr +
         "' is not backed by a randomized discrete attribute");
   }
-  PCLEAN_ASSIGN_OR_RETURN(const ProvenanceGraph* graph,
-                          CachedGraphFor(attr, options.exec));
-  std::vector<Value> m_pred =
-      predicate.MatchingValues(graph->clean_domain());
-
+  PCLEAN_ASSIGN_OR_RETURN(*graph, CachedGraphFor(attr, options.exec));
   EstimationInputs in;
   PCLEAN_ASSIGN_OR_RETURN(in.mechanism, MechanismFor(meta_it->second));
   PCLEAN_ASSIGN_OR_RETURN(
       in.p,
       in.mechanism->ReplacementProbability(meta_it->second.domain.size()));
-  in.n = static_cast<double>(graph->num_dirty_values());
-  in.l = options.weighted_cut
-             ? graph->WeightedSelectivity(m_pred)
-             : static_cast<double>(graph->UnweightedSelectivity(m_pred));
+  in.n = static_cast<double>((*graph)->num_dirty_values());
   in.confidence = options.confidence;
+  return in;
+}
+
+namespace {
+
+/// l, the dirty-side selectivity of M_pred: the weighted provenance cut
+/// (PC-W, §7.2) or the unweighted vertex count (PC-U, §6.3).
+double Selectivity(const ProvenanceGraph& graph,
+                   const std::vector<Value>& m_pred,
+                   const QueryOptions& options) {
+  return options.weighted_cut
+             ? graph.WeightedSelectivity(m_pred)
+             : static_cast<double>(graph.UnweightedSelectivity(m_pred));
+}
+
+}  // namespace
+
+Result<EstimationInputs> PrivateTable::InputsForPredicate(
+    const Predicate& predicate, const std::string& numeric_attribute,
+    const QueryOptions& options) const {
+  const ProvenanceGraph* graph = nullptr;
+  PCLEAN_ASSIGN_OR_RETURN(
+      EstimationInputs in,
+      BaseInputsFor(predicate.attribute(), options, &graph));
+  in.l = Selectivity(
+      *graph, predicate.MatchingValues(graph->clean_domain()), options);
   if (!numeric_attribute.empty()) {
     if (auto it = metadata_.numeric.find(numeric_attribute);
         it != metadata_.numeric.end()) {
@@ -177,49 +172,6 @@ Result<EstimationInputs> PrivateTable::InputsForPredicate(
     }
   }
   return in;
-}
-
-Result<QueryScanStats> PrivateTable::Scan(const Predicate& predicate,
-                                          const std::string& numeric_attribute,
-                                          const ExecutionOptions& exec) const {
-  return ScanWithPredicate(relation_, predicate, numeric_attribute, exec);
-}
-
-Result<QueryResult> PrivateTable::Count(const Predicate& predicate,
-                                        const QueryOptions& options) const {
-  PCLEAN_ASSIGN_OR_RETURN(EstimationInputs in,
-                          InputsForPredicate(predicate, "", options));
-  PCLEAN_ASSIGN_OR_RETURN(QueryScanStats stats,
-                          Scan(predicate, "", options.exec));
-  PCLEAN_ASSIGN_OR_RETURN(QueryResult r, EstimateCount(stats, in));
-  StampMemoryStats(relation_, &r);
-  return r;
-}
-
-Result<QueryResult> PrivateTable::Sum(const std::string& numeric_attribute,
-                                      const Predicate& predicate,
-                                      const QueryOptions& options) const {
-  PCLEAN_ASSIGN_OR_RETURN(
-      EstimationInputs in,
-      InputsForPredicate(predicate, numeric_attribute, options));
-  PCLEAN_ASSIGN_OR_RETURN(QueryScanStats stats,
-                          Scan(predicate, numeric_attribute, options.exec));
-  PCLEAN_ASSIGN_OR_RETURN(QueryResult r, EstimateSum(stats, in));
-  StampMemoryStats(relation_, &r);
-  return r;
-}
-
-Result<QueryResult> PrivateTable::Avg(const std::string& numeric_attribute,
-                                      const Predicate& predicate,
-                                      const QueryOptions& options) const {
-  PCLEAN_ASSIGN_OR_RETURN(
-      EstimationInputs in,
-      InputsForPredicate(predicate, numeric_attribute, options));
-  PCLEAN_ASSIGN_OR_RETURN(QueryScanStats stats,
-                          Scan(predicate, numeric_attribute, options.exec));
-  PCLEAN_ASSIGN_OR_RETURN(QueryResult r, EstimateAvg(stats, in));
-  StampMemoryStats(relation_, &r);
-  return r;
 }
 
 Result<QueryResult> PrivateTable::CountConjunctive(
@@ -232,25 +184,15 @@ Result<QueryResult> PrivateTable::CountConjunctive(
   PCLEAN_ASSIGN_OR_RETURN(
       ConjunctiveScanStats stats,
       ScanConjunctive(relation_, cond_a, cond_b, options.exec));
-  PCLEAN_ASSIGN_OR_RETURN(QueryResult r,
-                          EstimateConjunctiveCount(stats, in_a, in_b));
-  StampMemoryStats(relation_, &r);
-  return r;
+  return EstimateConjunctiveCount(stats, in_a, in_b);
 }
 
 Result<std::vector<std::pair<Value, QueryResult>>>
 PrivateTable::GroupByCountEstimate(const std::string& attribute,
                                    const QueryOptions& options) const {
-  PCLEAN_RETURN_NOT_OK(RejectNumericPredicateAttribute(attribute));
-  PCLEAN_ASSIGN_OR_RETURN(std::string anchor, provenance_.AnchorOf(attribute));
-  auto meta_it = metadata_.discrete.find(anchor);
-  if (meta_it == metadata_.discrete.end()) {
-    return Status::FailedPrecondition(
-        "attribute '" + attribute +
-        "' is not backed by a randomized discrete attribute");
-  }
-  PCLEAN_ASSIGN_OR_RETURN(const ProvenanceGraph* graph,
-                          CachedGraphFor(attribute, options.exec));
+  const ProvenanceGraph* graph = nullptr;
+  PCLEAN_ASSIGN_OR_RETURN(EstimationInputs base,
+                          BaseInputsFor(attribute, options, &graph));
   // One sharded pass: nominal count per clean value. Each shard owns a
   // full count vector; vectors add up in shard index order (integer
   // sums, so the merge order is immaterial — kept for uniformity with
@@ -304,140 +246,52 @@ PrivateTable::GroupByCountEstimate(const std::string& attribute,
   for (const std::vector<size_t>& partial : partial_counts) {
     for (size_t i = 0; i < partial.size(); ++i) counts[i] += partial[i];
   }
-  PCLEAN_ASSIGN_OR_RETURN(MechanismPtr mechanism,
-                          MechanismFor(meta_it->second));
-  PCLEAN_ASSIGN_OR_RETURN(
-      double p_eff,
-      mechanism->ReplacementProbability(meta_it->second.domain.size()));
   std::vector<std::pair<Value, QueryResult>> groups;
   groups.reserve(clean_domain.size());
   for (size_t i = 0; i < clean_domain.size(); ++i) {
-    EstimationInputs in;
-    in.mechanism = mechanism;
-    in.p = p_eff;
-    in.n = static_cast<double>(graph->num_dirty_values());
-    std::vector<Value> m_pred{clean_domain.value(i)};
-    in.l = options.weighted_cut
-               ? graph->WeightedSelectivity(m_pred)
-               : static_cast<double>(graph->UnweightedSelectivity(m_pred));
-    in.confidence = options.confidence;
+    EstimationInputs in = base;
+    in.l = Selectivity(*graph, {clean_domain.value(i)}, options);
     QueryScanStats stats;
     stats.total_rows = relation_.num_rows();
     stats.matching_rows = counts[i];
     PCLEAN_ASSIGN_OR_RETURN(QueryResult r, EstimateCount(stats, in));
-    StampMemoryStats(relation_, &r);
     groups.emplace_back(clean_domain.value(i), std::move(r));
   }
   return groups;
 }
 
-Result<QueryResult> PrivateTable::Execute(const AggregateQuery& query,
-                                          const QueryOptions& options) const {
-  if (query.agg == AggregateType::kMin || query.agg == AggregateType::kMax) {
-    return Status::FailedPrecondition(
-        "not privately answerable: " +
-        std::string(AggregateTypeToString(query.agg)) +
-        "() reads an extreme value, which randomization destroys — no "
-        "bias-corrected estimator exists (use the Direct baseline for a "
-        "nominal value)");
-  }
-  if (query.agg != AggregateType::kCount &&
-      query.agg != AggregateType::kSum && query.agg != AggregateType::kAvg) {
+namespace {
+
+/// Plans `query` exactly as the SQL layer plans its parsed form and
+/// returns the plan's single result row. The §10 extension route has its
+/// own entry points (ExtendedAggregate, BootstrapExtendedAggregate).
+Result<QueryResult> RunAggregatePlan(const PrivateTable& table,
+                                     const AggregateQuery& query,
+                                     QueryMode mode,
+                                     const QueryOptions& options) {
+  ParsedSql parsed;
+  parsed.table_name = table.metadata().relation_name;
+  parsed.query = query;
+  const QueryPlan plan = PlanQuery(table, parsed, mode);
+  if (plan.route == QueryRoute::kExtension) {
     return Status::InvalidArgument(
         "Execute supports sum/count/avg; use ExtendedAggregate for " +
         std::string(AggregateTypeToString(query.agg)));
   }
-  if (query.predicate.has_value()) {
-    switch (query.agg) {
-      case AggregateType::kCount:
-        return Count(*query.predicate, options);
-      case AggregateType::kSum:
-        return Sum(query.numeric_attribute, *query.predicate, options);
-      default:
-        return Avg(query.numeric_attribute, *query.predicate, options);
-    }
-  }
+  PCLEAN_ASSIGN_OR_RETURN(SqlResultSet rs, ExecutePlan(table, plan, options));
+  return std::move(rs.rows.front().result);
+}
 
-  // No predicate: the Direct estimate is unbiased (§5.1) — GRR noise is
-  // zero-mean and randomized response permutes within the relation. The
-  // interval reflects the Laplace noise added to the numeric attribute.
-  PCLEAN_ASSIGN_OR_RETURN(double nominal,
-                          ExecuteAggregate(relation_, query, options.exec));
-  QueryResult r;
-  r.estimator = EstimatorKind::kPrivateClean;
-  r.estimate = nominal;
-  r.nominal = nominal;
-  r.confidence = options.confidence;
-  r.s = relation_.num_rows();
-  double b = 0.0;
-  if (auto it = metadata_.numeric.find(query.numeric_attribute);
-      it != metadata_.numeric.end()) {
-    b = it->second.b;
-  }
-  PCLEAN_ASSIGN_OR_RETURN(double z, ZScoreForConfidence(options.confidence));
-  double s = static_cast<double>(relation_.num_rows());
-  double half = 0.0;
-  if (query.agg == AggregateType::kSum) {
-    half = z * std::sqrt(2.0 * s * b * b);  // Var(Σ Laplace) = 2Sb².
-  } else if (query.agg == AggregateType::kAvg) {
-    half = (s > 0.0) ? z * std::sqrt(2.0 * b * b / s) : 0.0;
-  }
-  r.ci = ConfidenceInterval{r.estimate - half, r.estimate + half};
-  StampMemoryStats(relation_, &r);
-  return r;
+}  // namespace
+
+Result<QueryResult> PrivateTable::Execute(const AggregateQuery& query,
+                                          const QueryOptions& options) const {
+  return RunAggregatePlan(*this, query, QueryMode::kCorrected, options);
 }
 
 Result<QueryResult> PrivateTable::ExecuteDirect(
     const AggregateQuery& query, const QueryOptions& options) const {
-  if (query.agg == AggregateType::kMin || query.agg == AggregateType::kMax) {
-    // Direct answers extremes nominally — the whole point of the
-    // baseline is reading noised values as-is.
-    PCLEAN_ASSIGN_OR_RETURN(
-        double nominal, ExecuteAggregate(relation_, query, options.exec));
-    QueryResult r;
-    r.estimator = EstimatorKind::kDirect;
-    r.estimate = nominal;
-    r.nominal = nominal;
-    r.ci = ConfidenceInterval{nominal, nominal};
-    r.s = relation_.num_rows();
-    StampMemoryStats(relation_, &r);
-    return r;
-  }
-  if (query.agg != AggregateType::kCount &&
-      query.agg != AggregateType::kSum && query.agg != AggregateType::kAvg) {
-    return Status::InvalidArgument(
-        "ExecuteDirect supports sum/count/avg aggregates");
-  }
-  if (!query.predicate.has_value()) {
-    PCLEAN_ASSIGN_OR_RETURN(
-        double nominal, ExecuteAggregate(relation_, query, options.exec));
-    QueryResult r;
-    r.estimator = EstimatorKind::kDirect;
-    r.estimate = nominal;
-    r.nominal = nominal;
-    r.ci = ConfidenceInterval{nominal, nominal};
-    r.s = relation_.num_rows();
-    StampMemoryStats(relation_, &r);
-    return r;
-  }
-  PCLEAN_ASSIGN_OR_RETURN(
-      QueryScanStats stats,
-      Scan(*query.predicate,
-           query.agg == AggregateType::kCount ? "" : query.numeric_attribute,
-           options.exec));
-  Result<QueryResult> direct = [&]() -> Result<QueryResult> {
-    switch (query.agg) {
-      case AggregateType::kCount:
-        return DirectCount(stats);
-      case AggregateType::kSum:
-        return DirectSum(stats);
-      default:
-        return DirectAvg(stats);
-    }
-  }();
-  PCLEAN_ASSIGN_OR_RETURN(QueryResult r, std::move(direct));
-  StampMemoryStats(relation_, &r);
-  return r;
+  return RunAggregatePlan(*this, query, QueryMode::kDirect, options);
 }
 
 namespace {
@@ -468,14 +322,6 @@ Result<double> ExtendedAggregateOnTable(const Table& table,
       return query.agg == AggregateType::kVar ? corrected
                                               : std::sqrt(corrected);
     }
-    case AggregateType::kMin:
-    case AggregateType::kMax:
-      return Status::FailedPrecondition(
-          "not privately answerable: " +
-          std::string(AggregateTypeToString(query.agg)) +
-          "() reads an extreme value, which randomization destroys — no "
-          "bias-corrected estimator exists (use the Direct baseline for a "
-          "nominal value)");
     default:
       return Status::InvalidArgument(
           "ExtendedAggregate handles median/percentile/var/std; use "
@@ -583,7 +429,6 @@ Result<QueryResult> PrivateTable::BootstrapExtendedAggregate(
   result.s = rows;
   result.replicates_requested = replicates;
   result.replicates_effective = effective;
-  StampMemoryStats(relation_, &result);
   return result;
 }
 

@@ -24,7 +24,7 @@ struct QueryOptions {
   /// over-counts; exposed for the Figure 7 ablation.
   bool weighted_cut = true;
   /// Threading (common/thread_pool.h) for every row pass a query runs:
-  /// the predicate scans of Count/Sum/Avg/CountConjunctive, the
+  /// the predicate scans of Execute/ExecuteDirect/CountConjunctive, the
   /// GroupByCountEstimate counting pass, ExecuteAggregate's per-row
   /// loops, provenance graph (re)builds, and the bootstrap replicate
   /// loop of the §10 extension aggregates. Results are identical at
@@ -52,9 +52,10 @@ struct QueryOptions {
 ///   1. the *provider* calls Create() on the original dirty relation R —
 ///      GRR randomizes it and the original is no longer needed;
 ///   2. the *analyst* applies cleaning operations with Clean();
-///   3. the analyst runs aggregate queries with Count()/Sum()/Avg() (the
+///   3. the analyst runs aggregate queries with Execute() (the
 ///      PrivateClean estimator) or ExecuteDirect() (the uncorrected
-///      baseline).
+///      baseline), or SQL through core/sql_execution.h — one query plan
+///      behind all of them.
 ///
 /// The table keeps the GRR metadata (p_i, b_i, domains, S) and a
 /// provenance manager that snapshots V at creation, so after any
@@ -110,19 +111,16 @@ class PrivateTable {
 
   /// --- PrivateClean estimators (bias-corrected, §5–§7) ----------------
 
-  /// COUNT rows satisfying `predicate`.
-  Result<QueryResult> Count(const Predicate& predicate,
-                            const QueryOptions& options = QueryOptions()) const;
-
-  /// SUM of `numeric_attribute` over rows satisfying `predicate`.
-  Result<QueryResult> Sum(const std::string& numeric_attribute,
-                          const Predicate& predicate,
-                          const QueryOptions& options = QueryOptions()) const;
-
-  /// AVG of `numeric_attribute` over rows satisfying `predicate`.
-  Result<QueryResult> Avg(const std::string& numeric_attribute,
-                          const Predicate& predicate,
-                          const QueryOptions& options = QueryOptions()) const;
+  /// The programmatic front door for sum/count/avg: plans `query` as the
+  /// SQL layer plans its parsed form (core/sql_execution.h, PlanQuery in
+  /// QueryMode::kCorrected) and runs that plan. With a predicate the
+  /// corrected estimators answer; without one the Direct value is
+  /// unbiased (§5.1) and carries a Laplace-noise interval. MIN/MAX are
+  /// not privately answerable; the §10 aggregates are InvalidArgument
+  /// here (use ExtendedAggregate).
+  Result<QueryResult> Execute(
+      const AggregateQuery& query,
+      const QueryOptions& options = QueryOptions()) const;
 
   /// COUNT rows satisfying `cond_a AND cond_b`, where the two predicates
   /// condition on two *different* discrete attributes (§10 SPJ
@@ -141,17 +139,13 @@ class PrivateTable {
       const std::string& attribute,
       const QueryOptions& options = QueryOptions()) const;
 
-  /// Generic entry point: dispatches sum/count/avg, with or without a
-  /// predicate. Queries without a predicate use the Direct estimator,
-  /// which is unbiased there (§5.1), with a Laplace-noise interval.
-  Result<QueryResult> Execute(const AggregateQuery& query,
-                              const QueryOptions& options = QueryOptions()) const;
-
   /// --- Baselines and extensions ----------------------------------------
 
-  /// The Direct estimator (§8.1): nominal value on the cleaned private
-  /// relation, no re-weighting. Only `options.exec` is consulted (Direct
-  /// has no confidence interval or provenance cut to configure).
+  /// The Direct estimator (§8.1): the same plan in QueryMode::kDirect —
+  /// the nominal aggregate on the cleaned private relation, no
+  /// re-weighting, under ExecuteAggregate's NULL semantics. Only
+  /// `options.exec` is consulted (Direct has no confidence interval or
+  /// provenance cut to configure).
   Result<QueryResult> ExecuteDirect(
       const AggregateQuery& query,
       const QueryOptions& options = QueryOptions()) const;
@@ -198,11 +192,6 @@ class PrivateTable {
   Result<ProvenanceGraph> ProvenanceFor(const std::string& attribute,
                                         const ExecutionOptions& exec = {}) const;
 
-  /// Typed rejection for corrected estimators keyed on a Laplace-noised
-  /// numeric attribute: no transition matrix exists, so no bias
-  /// correction is possible. OK when `attr` is not a numeric attribute.
-  Status RejectNumericPredicateAttribute(const std::string& attr) const;
-
   /// The deterministic estimator inputs (p, l, N) PrivateClean would use
   /// for this predicate right now — exposed for tests and diagnostics.
   Result<EstimationInputs> InputsForPredicate(
@@ -215,9 +204,14 @@ class PrivateTable {
  private:
   PrivateTable() = default;
 
-  Result<QueryScanStats> Scan(const Predicate& predicate,
-                              const std::string& numeric_attribute,
-                              const ExecutionOptions& exec = {}) const;
+  /// The selectivity-independent estimator inputs of the discrete
+  /// attribute `attr` — mechanism, p, N, confidence — with `*graph` set
+  /// to its cached provenance graph. Callers fill in l for their M_pred.
+  /// Typed rejection for a numeric attribute (no transition matrix) and
+  /// for one not backed by a randomized discrete attribute.
+  Result<EstimationInputs> BaseInputsFor(const std::string& attr,
+                                         const QueryOptions& options,
+                                         const ProvenanceGraph** graph) const;
 
   /// Laplace scale b of `numeric_attribute` for the §10 var/std
   /// correction. InvalidArgument when the relation has no such attribute

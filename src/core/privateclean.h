@@ -12,8 +12,8 @@
 ///   private_table->Clean(FindReplace::Single("major",
 ///                                            "Mechanical Engineering",
 ///                                            "Mech. Eng."));
-///   auto result = private_table->Avg("score",
-///                                    Predicate::Equals("major", "Mech. Eng."));
+///   auto result = private_table->Execute(AggregateQuery::Avg(
+///       "score", Predicate::Equals("major", "Mech. Eng.")));
 
 #include "cleaning/constraints.h"
 #include "cleaning/extract.h"

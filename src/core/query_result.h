@@ -50,8 +50,10 @@ struct QueryResult {
   size_t replicates_requested = 0;  ///< Bootstrap replicates asked for.
   size_t replicates_effective = 0;  ///< Replicates the CI was computed on.
 
-  /// Relation/arena memory accounting at result time (zeroed for results
-  /// built outside PrivateTable's query entry points).
+  /// Relation/arena memory accounting at result time, stamped on every
+  /// row a query plan produces (ExecutePlan, core/sql_execution.h) —
+  /// every SQL query and PrivateTable::Execute/ExecuteDirect. Zeroed on
+  /// results of the estimator methods called directly.
   MemoryStats memory;
 };
 

@@ -1,13 +1,15 @@
 #include "core/sql_execution.h"
 
 #include <algorithm>
-#include <cctype>
+#include <cmath>
+#include <map>
 #include <ostream>
+#include <set>
 #include <utility>
 
-#include "common/string_util.h"
-
+#include "common/arena.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "query/vectorized.h"
 
 namespace privateclean {
@@ -17,6 +19,144 @@ namespace {
 bool IsExtensionAggregate(AggregateType agg) {
   return agg == AggregateType::kMedian || agg == AggregateType::kVar ||
          agg == AggregateType::kStd || agg == AggregateType::kPercentile;
+}
+
+std::string JoinAttributes(const std::vector<std::string>& attrs) {
+  std::string out;
+  for (size_t i = 0; i < attrs.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += "'" + attrs[i] + "'";
+  }
+  return out;
+}
+
+Status NotAnswerable(const std::string& why) {
+  return Status::FailedPrecondition("not privately answerable: " + why);
+}
+
+/// The distinct attributes `parsed` reads, sorted.
+std::vector<std::string> ReadAttributes(const ParsedSql& parsed) {
+  std::set<std::string> attrs;
+  if (parsed.where.has_value()) {
+    for (std::string& a : SqlExprAttributes(*parsed.where)) {
+      attrs.insert(std::move(a));
+    }
+  }
+  if (parsed.query.predicate.has_value()) {
+    attrs.insert(parsed.query.predicate->attribute());
+  }
+  for (const std::string* a : {&parsed.query.numeric_attribute,
+                               &parsed.distinct_attribute, &parsed.group_by}) {
+    if (!a->empty()) attrs.insert(*a);
+  }
+  return {attrs.begin(), attrs.end()};
+}
+
+/// Corrected routing of a WHERE tree. A tree over one attribute, of any
+/// boolean structure, collapses to one Predicate: subset membership
+/// M_pred is all the corrected estimators need. A pure conjunction over
+/// exactly two attributes under COUNT splits into the §10 conjunctive
+/// pair. Everything else is not privately answerable.
+Status PlanCorrectedWhere(const SqlExpr& where, QueryPlan* plan) {
+  std::vector<std::string> attrs = SqlExprAttributes(where);
+  if (attrs.size() == 1) {
+    PCLEAN_ASSIGN_OR_RETURN(plan->query.predicate,
+                            CollapseSingleAttribute(where));
+    return Status::OK();
+  }
+  if (attrs.size() > 2) {
+    return NotAnswerable("WHERE references " + std::to_string(attrs.size()) +
+                         " attributes (" + JoinAttributes(attrs) +
+                         "); the conjunctive estimator composes exactly two");
+  }
+  if (plan->query.agg != AggregateType::kCount) {
+    return NotAnswerable(
+        std::string("multi-attribute WHERE with ") +
+        AggregateTypeToString(plan->query.agg) +
+        "(...) — the conjunctive estimator is derived for COUNT only");
+  }
+  if (where.kind != SqlExpr::Kind::kAnd) {
+    return NotAnswerable(
+        "OR/NOT across attributes " + JoinAttributes(attrs) +
+        " — only an AND of two single-attribute condition groups has a "
+        "derived estimator (the §10 conjunctive COUNT)");
+  }
+  std::vector<SqlExpr> group_a;
+  std::vector<SqlExpr> group_b;
+  for (const SqlExpr& child : where.children) {
+    std::vector<std::string> child_attrs = SqlExprAttributes(child);
+    if (child_attrs.size() != 1) {
+      return NotAnswerable(
+          "an AND operand mixes attributes " + JoinAttributes(child_attrs) +
+          " — group each attribute's conditions so the WHERE is "
+          "<conditions on one attribute> AND <conditions on the other>");
+    }
+    (child_attrs.front() == attrs.front() ? group_a : group_b)
+        .push_back(child);
+  }
+  PCLEAN_ASSIGN_OR_RETURN(plan->query.predicate,
+                          CollapseSingleAttribute(SqlExpr::MakeAnd(group_a)));
+  PCLEAN_ASSIGN_OR_RETURN(plan->conjunct,
+                          CollapseSingleAttribute(SqlExpr::MakeAnd(group_b)));
+  return Status::OK();
+}
+
+Status RouteCorrected(const ParsedSql& parsed, QueryPlan* plan) {
+  const AggregateType agg = parsed.query.agg;
+  const std::string agg_name = ToUpperAscii(AggregateTypeToString(agg));
+  if (parsed.count_distinct) {
+    return NotAnswerable(
+        "COUNT(DISTINCT " + parsed.distinct_attribute +
+        ") — GRR spreads rows across the whole domain, so the nominal "
+        "distinct count concentrates at the public domain size regardless "
+        "of the data");
+  }
+  if (parsed.select_distinct) {
+    return NotAnswerable(
+        "SELECT DISTINCT " + parsed.distinct_attribute +
+        " — under GRR nearly every domain value appears in the nominal "
+        "relation, so the distinct set reflects the public domain, not "
+        "the data (the Direct baseline reports the nominal set)");
+  }
+  if (agg == AggregateType::kMin || agg == AggregateType::kMax) {
+    return NotAnswerable(
+        agg_name + "(" + parsed.query.numeric_attribute +
+        ") — extreme values are destroyed by randomization; no "
+        "bias-corrected estimator exists (the Direct baseline reports the "
+        "nominal extreme)");
+  }
+  if (!parsed.group_by.empty()) {
+    if (parsed.where.has_value()) {
+      return NotAnswerable(
+          "GROUP BY with WHERE — the per-group correction (§8.3.4) is "
+          "derived for whole-relation counts");
+    }
+    if (agg != AggregateType::kCount) {
+      return NotAnswerable("GROUP BY with " + agg_name +
+                           "(...) — the grouped estimator is derived for "
+                           "COUNT only (§8.3.4)");
+    }
+    plan->route = QueryRoute::kGrouped;
+    return Status::OK();
+  }
+  if (parsed.where.has_value()) {
+    PCLEAN_RETURN_NOT_OK(PlanCorrectedWhere(*parsed.where, plan));
+  }
+  plan->route = plan->conjunct.has_value() ? QueryRoute::kConjunctive
+                : IsExtensionAggregate(agg) ? QueryRoute::kExtension
+                                            : QueryRoute::kCorrectedScalar;
+  return Status::OK();
+}
+
+Status RouteDirect(const ParsedSql& parsed, QueryPlan* plan) {
+  if (!parsed.group_by.empty() && parsed.query.agg != AggregateType::kCount) {
+    return Status::InvalidArgument(
+        "Direct GROUP BY supports COUNT only (got " +
+        ToUpperAscii(AggregateTypeToString(parsed.query.agg)) + ")");
+  }
+  plan->route = plan->group_attribute.empty() ? QueryRoute::kDirectScalar
+                                              : QueryRoute::kDirectGrouped;
+  return Status::OK();
 }
 
 QueryResult PointResult(double value, EstimatorKind kind, size_t s) {
@@ -29,18 +169,167 @@ QueryResult PointResult(double value, EstimatorKind kind, size_t s) {
   return r;
 }
 
-std::string UpperAggName(AggregateType agg) {
-  std::string s = AggregateTypeToString(agg);
-  for (char& c : s) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return s;
+Result<SqlResultSet> Scalar(Result<QueryResult> r) {
+  PCLEAN_RETURN_NOT_OK(r.status());
+  SqlResultSet rs;
+  rs.rows.push_back(SqlRow{std::nullopt, std::move(r).ValueOrDie()});
+  return rs;
+}
+
+/// Corrected COUNT/SUM/AVG (§5–§7). Without a predicate the nominal value
+/// is unbiased (§5.1) — GRR noise is zero-mean and randomized response
+/// permutes within the relation — and the interval reflects the Laplace
+/// noise added to the numeric attribute.
+Result<QueryResult> CorrectedScalar(const PrivateTable& table,
+                                    const AggregateQuery& query,
+                                    const QueryOptions& options) {
+  const Table& relation = table.relation();
+  if (query.predicate.has_value()) {
+    const std::string numeric =
+        query.agg == AggregateType::kCount ? "" : query.numeric_attribute;
+    PCLEAN_ASSIGN_OR_RETURN(
+        EstimationInputs in,
+        table.InputsForPredicate(*query.predicate, numeric, options));
+    PCLEAN_ASSIGN_OR_RETURN(
+        QueryScanStats stats,
+        ScanWithPredicate(relation, *query.predicate, numeric, options.exec));
+    switch (query.agg) {
+      case AggregateType::kCount:
+        return EstimateCount(stats, in);
+      case AggregateType::kSum:
+        return EstimateSum(stats, in);
+      default:
+        return EstimateAvg(stats, in);
+    }
+  }
+  PCLEAN_ASSIGN_OR_RETURN(double nominal,
+                          ExecuteAggregate(relation, query, options.exec));
+  QueryResult r = PointResult(nominal, EstimatorKind::kPrivateClean,
+                              relation.num_rows());
+  r.confidence = options.confidence;
+  double b = 0.0;
+  if (auto it = table.metadata().numeric.find(query.numeric_attribute);
+      it != table.metadata().numeric.end()) {
+    b = it->second.b;
+  }
+  PCLEAN_ASSIGN_OR_RETURN(double z, ZScoreForConfidence(options.confidence));
+  double s = static_cast<double>(relation.num_rows());
+  double half = 0.0;
+  if (query.agg == AggregateType::kSum) {
+    half = z * std::sqrt(2.0 * s * b * b);  // Var(Σ Laplace) = 2Sb².
+  } else if (query.agg == AggregateType::kAvg) {
+    half = (s > 0.0) ? z * std::sqrt(2.0 * b * b / s) : 0.0;
+  }
+  r.ci = ConfidenceInterval{nominal - half, nominal + half};
+  return r;
+}
+
+/// §10 extension aggregates: the bootstrap replicate loop shards per
+/// options.exec with a replicate-forked RNG stream, so the interval is
+/// identical at every thread count.
+Result<QueryResult> Extension(const PrivateTable& table,
+                              const AggregateQuery& query,
+                              const QueryOptions& options) {
+  if (options.bootstrap_replicates > 0) {
+    Rng rng(options.bootstrap_seed);
+    return table.BootstrapExtendedAggregate(query, rng,
+                                            options.bootstrap_replicates,
+                                            options.confidence, options.exec);
+  }
+  PCLEAN_ASSIGN_OR_RETURN(double value,
+                          table.ExtendedAggregate(query, options.exec));
+  return PointResult(value, EstimatorKind::kPrivateClean, table.size());
+}
+
+/// The Direct row filter: the verbatim WHERE tree, a programmatic
+/// predicate, or every row.
+Result<CompiledPredicate> DirectFilter(const Table& relation,
+                                       const QueryPlan& plan) {
+  if (plan.where.has_value()) {
+    return CompiledPredicate::Compile(relation, *plan.where);
+  }
+  if (plan.query.predicate.has_value()) {
+    return CompiledPredicate::Compile(relation, *plan.query.predicate);
+  }
+  return CompiledPredicate::True();
+}
+
+Result<SqlResultSet> DirectGrouped(const PrivateTable& table,
+                                   const QueryPlan& plan,
+                                   const ExecutionOptions& exec) {
+  const Table& relation = table.relation();
+  PCLEAN_ASSIGN_OR_RETURN(CompiledPredicate filter,
+                          DirectFilter(relation, plan));
+  PCLEAN_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,
+                          filter.EvaluateAll(relation.num_rows(), exec));
+  PCLEAN_ASSIGN_OR_RETURN(const Column* col,
+                          relation.ColumnByName(plan.group_attribute));
+  // Boxed keys: a NULL group is its own bucket, never the empty string.
+  std::map<Value, size_t> counts;
+  for (size_t r = 0; r < col->size(); ++r) {
+    if (mask[r]) counts[col->ValueAt(r)]++;
+  }
+  if (plan.count_distinct) {
+    return Scalar(PointResult(static_cast<double>(counts.size()),
+                              EstimatorKind::kDirect, table.size()));
+  }
+  SqlResultSet rs;
+  rs.grouped = true;
+  rs.rows.reserve(counts.size());
+  for (const auto& [key, n] : counts) {
+    rs.rows.push_back(SqlRow{key, PointResult(static_cast<double>(n),
+                                              EstimatorKind::kDirect,
+                                              table.size())});
+  }
+  return rs;
+}
+
+Result<SqlResultSet> RunRoute(const PrivateTable& table,
+                              const QueryPlan& plan,
+                              const QueryOptions& options) {
+  switch (plan.route) {
+    case QueryRoute::kCorrectedScalar:
+      return Scalar(CorrectedScalar(table, plan.query, options));
+    case QueryRoute::kConjunctive:
+      return Scalar(
+          table.CountConjunctive(*plan.query.predicate, *plan.conjunct,
+                                 options));
+    case QueryRoute::kGrouped: {
+      PCLEAN_ASSIGN_OR_RETURN(
+          auto groups,
+          table.GroupByCountEstimate(plan.group_attribute, options));
+      SqlResultSet rs;
+      rs.grouped = true;
+      rs.rows.reserve(groups.size());
+      for (auto& [key, result] : groups) {
+        rs.rows.push_back(SqlRow{key, std::move(result)});
+      }
+      return rs;
+    }
+    case QueryRoute::kExtension:
+      return Scalar(Extension(table, plan.query, options));
+    case QueryRoute::kDirectScalar: {
+      PCLEAN_ASSIGN_OR_RETURN(CompiledPredicate filter,
+                              DirectFilter(table.relation(), plan));
+      PCLEAN_ASSIGN_OR_RETURN(
+          double value, ExecuteAggregate(table.relation(), plan.query,
+                                         filter, options.exec));
+      return Scalar(PointResult(value, EstimatorKind::kDirect, table.size()));
+    }
+    case QueryRoute::kDirectGrouped:
+      return DirectGrouped(table, plan, options.exec);
+    case QueryRoute::kRejected:
+      break;
+  }
+  return plan.status;
 }
 
 /// ORDER BY / LIMIT shaping of grouped rows. stable_sort keeps the
 /// estimator's first-appearance order on ties, so shaping is
 /// deterministic.
-void ShapeRows(const ParsedSql& parsed, std::vector<SqlRow>* rows) {
-  if (parsed.order_by.has_value()) {
-    const SqlOrderBy order = *parsed.order_by;
+void ShapeRows(const QueryPlan& plan, std::vector<SqlRow>* rows) {
+  if (plan.order_by.has_value()) {
+    const SqlOrderBy order = *plan.order_by;
     std::stable_sort(
         rows->begin(), rows->end(), [order](const SqlRow& a, const SqlRow& b) {
           if (order.by_estimate) {
@@ -50,230 +339,97 @@ void ShapeRows(const ParsedSql& parsed, std::vector<SqlRow>* rows) {
           return order.descending ? *b.group < *a.group : *a.group < *b.group;
         });
   }
-  if (parsed.limit.has_value() && rows->size() > *parsed.limit) {
-    rows->resize(*parsed.limit);
+  if (plan.limit.has_value() && rows->size() > *plan.limit) {
+    rows->resize(*plan.limit);
   }
 }
 
-SqlResultSet ScalarResult(QueryResult r) {
-  SqlResultSet rs;
-  rs.rows.push_back(SqlRow{std::nullopt, std::move(r)});
-  return rs;
+/// The scanned relation's footprint and the process-wide arena totals.
+MemoryStats CurrentMemoryStats(const Table& relation) {
+  ColumnMemory m = relation.MemoryUsage();
+  ArenaSiteStats totals = ArenaProfiler::Totals();
+  return MemoryStats{m.payload_bytes,      m.dictionary_bytes,
+                     m.dictionary_entries, totals.live_bytes,
+                     totals.peak_live_bytes, totals.alloc_calls};
 }
 
-/// The FROM name must match the relation the table was opened as. An
-/// unnamed table (in-process PrivateTable::Create) accepts any
-/// spelling; a release validates against its MANIFEST `relation:` name.
-Status CheckRelationName(const PrivateTable& table, const ParsedSql& parsed) {
-  const std::string& expected = table.metadata().relation_name;
-  if (expected.empty() || parsed.table_name == expected) return Status::OK();
-  return Status::NotFound("unknown relation '" + parsed.table_name +
-                          "' in FROM: this release serves relation '" +
-                          expected + "'");
+Result<SqlResultSet> RunSql(const PrivateTable& table, const std::string& sql,
+                            QueryMode mode, const QueryOptions& options) {
+  PCLEAN_ASSIGN_OR_RETURN(ParsedSql parsed, ParseSql(sql));
+  return ExecutePlan(table, PlanQuery(table, parsed, mode), options);
 }
 
 }  // namespace
 
+QueryPlan PlanQuery(const PrivateTable& table, const ParsedSql& parsed,
+                    QueryMode mode) {
+  QueryPlan plan;
+  plan.query = parsed.query;
+  plan.where = parsed.where;
+  plan.group_attribute = parsed.distinct_attribute.empty()
+                             ? parsed.group_by
+                             : parsed.distinct_attribute;
+  plan.count_distinct = parsed.count_distinct;
+  plan.attributes = ReadAttributes(parsed);
+  plan.order_by = parsed.order_by;
+  plan.limit = parsed.limit;
+  const std::string& relation = table.metadata().relation_name;
+  if (!relation.empty() && parsed.table_name != relation) {
+    plan.status = Status::NotFound("unknown relation '" + parsed.table_name +
+                                   "' in FROM: this release serves relation '" +
+                                   relation + "'");
+  } else if (mode == QueryMode::kCorrected) {
+    plan.status = RouteCorrected(parsed, &plan);
+  } else {
+    plan.status = RouteDirect(parsed, &plan);
+  }
+  if (!plan.status.ok()) plan.route = QueryRoute::kRejected;
+  return plan;
+}
+
+Result<SqlResultSet> ExecutePlan(const PrivateTable& table,
+                                 const QueryPlan& plan,
+                                 const QueryOptions& options) {
+  PCLEAN_RETURN_NOT_OK(plan.status);
+  PCLEAN_ASSIGN_OR_RETURN(SqlResultSet rs, RunRoute(table, plan, options));
+  ShapeRows(plan, &rs.rows);
+  const MemoryStats memory = CurrentMemoryStats(table.relation());
+  for (SqlRow& row : rs.rows) row.result.memory = memory;
+  return rs;
+}
+
 Result<SqlResultSet> ExecuteSqlQuery(const PrivateTable& table,
                                      const std::string& sql,
                                      const QueryOptions& options) {
-  PCLEAN_ASSIGN_OR_RETURN(ParsedSql parsed, ParseSql(sql));
-  PCLEAN_RETURN_NOT_OK(CheckRelationName(table, parsed));
-  if (parsed.count_distinct) {
-    return Status::FailedPrecondition(
-        "not privately answerable: COUNT(DISTINCT " +
-        parsed.distinct_attribute +
-        ") — GRR spreads rows across the whole domain, so the nominal "
-        "distinct count concentrates at the public domain size regardless "
-        "of the data");
-  }
-  if (parsed.select_distinct) {
-    return Status::FailedPrecondition(
-        "not privately answerable: SELECT DISTINCT " +
-        parsed.distinct_attribute +
-        " — under GRR nearly every domain value appears in the nominal "
-        "relation, so the distinct set reflects the public domain, not "
-        "the data (the Direct baseline reports the nominal set)");
-  }
-  if (parsed.query.agg == AggregateType::kMin ||
-      parsed.query.agg == AggregateType::kMax) {
-    return Status::FailedPrecondition(
-        "not privately answerable: " + UpperAggName(parsed.query.agg) + "(" +
-        parsed.query.numeric_attribute +
-        ") — extreme values are destroyed by randomization; no "
-        "bias-corrected estimator exists (the Direct baseline reports the "
-        "nominal extreme)");
-  }
-  if (!parsed.group_by.empty()) {
-    if (parsed.where.has_value()) {
-      return Status::FailedPrecondition(
-          "not privately answerable: GROUP BY with WHERE — the per-group "
-          "correction (§8.3.4) is derived for whole-relation counts");
-    }
-    if (parsed.query.agg != AggregateType::kCount) {
-      return Status::FailedPrecondition(
-          "not privately answerable: GROUP BY with " +
-          UpperAggName(parsed.query.agg) +
-          "(...) — the grouped estimator is derived for COUNT only "
-          "(§8.3.4)");
-    }
-    PCLEAN_ASSIGN_OR_RETURN(auto groups,
-                            table.GroupByCountEstimate(parsed.group_by,
-                                                       options));
-    SqlResultSet rs;
-    rs.grouped = true;
-    rs.rows.reserve(groups.size());
-    for (auto& [key, result] : groups) {
-      rs.rows.push_back(SqlRow{key, std::move(result)});
-    }
-    ShapeRows(parsed, &rs.rows);
-    return rs;
-  }
-  if (parsed.where.has_value() && !parsed.query.predicate.has_value()) {
-    // ParseSql accepted a WHERE tree it could not plan (pure syntax is
-    // broader than the estimators); re-plan to surface the typed
-    // "not privately answerable" error.
-    PCLEAN_ASSIGN_OR_RETURN(WherePlan plan,
-                            PlanWhere(*parsed.where, parsed.query.agg));
-    parsed.query.predicate = std::move(plan.predicate);
-    parsed.conjunct = std::move(plan.conjunct);
-  }
-  if (parsed.conjunct.has_value()) {
-    PCLEAN_ASSIGN_OR_RETURN(
-        QueryResult r, table.CountConjunctive(*parsed.query.predicate,
-                                              *parsed.conjunct, options));
-    return ScalarResult(std::move(r));
-  }
-  if (IsExtensionAggregate(parsed.query.agg)) {
-    if (options.bootstrap_replicates > 0) {
-      // Bootstrap percentile interval (§10); the replicate loop shards
-      // per options.exec with a replicate-forked RNG stream, so the
-      // interval is identical at every thread count.
-      Rng rng(options.bootstrap_seed);
-      PCLEAN_ASSIGN_OR_RETURN(
-          QueryResult r,
-          table.BootstrapExtendedAggregate(
-              parsed.query, rng, options.bootstrap_replicates,
-              options.confidence, options.exec));
-      return ScalarResult(std::move(r));
-    }
-    PCLEAN_ASSIGN_OR_RETURN(
-        double value, table.ExtendedAggregate(parsed.query, options.exec));
-    return ScalarResult(
-        PointResult(value, EstimatorKind::kPrivateClean, table.size()));
-  }
-  PCLEAN_ASSIGN_OR_RETURN(QueryResult r,
-                          table.Execute(parsed.query, options));
-  return ScalarResult(std::move(r));
+  return RunSql(table, sql, QueryMode::kCorrected, options);
 }
 
 Result<SqlResultSet> ExecuteSqlQueryDirect(const PrivateTable& table,
                                            const std::string& sql,
                                            const ExecutionOptions& exec) {
-  PCLEAN_ASSIGN_OR_RETURN(ParsedSql parsed, ParseSql(sql));
-  PCLEAN_RETURN_NOT_OK(CheckRelationName(table, parsed));
-  const Table& relation = table.relation();
-  if (parsed.count_distinct) {
-    // Nominal distinct-value count (NULL counts as its own value iff
-    // present, matching GroupByCount's bucketing).
-    PCLEAN_ASSIGN_OR_RETURN(
-        auto groups, GroupByCount(relation, parsed.distinct_attribute));
-    return ScalarResult(PointResult(static_cast<double>(groups.size()),
-                                    EstimatorKind::kDirect, table.size()));
-  }
-  if (parsed.select_distinct || !parsed.group_by.empty()) {
-    const std::string& attr = parsed.select_distinct
-                                  ? parsed.distinct_attribute
-                                  : parsed.group_by;
-    if (!parsed.group_by.empty() &&
-        parsed.query.agg != AggregateType::kCount) {
-      return Status::InvalidArgument(
-          "Direct GROUP BY supports COUNT only (got " +
-          UpperAggName(parsed.query.agg) + ")");
-    }
-    std::vector<uint8_t> mask;
-    if (parsed.where.has_value()) {
-      PCLEAN_ASSIGN_OR_RETURN(
-          CompiledPredicate predicate,
-          CompiledPredicate::Compile(relation, *parsed.where));
-      PCLEAN_ASSIGN_OR_RETURN(
-          mask, predicate.EvaluateAll(relation.num_rows(), exec));
-    }
-    PCLEAN_ASSIGN_OR_RETURN(const Column* col, relation.ColumnByName(attr));
-    std::map<Value, size_t> counts;
-    for (size_t r = 0; r < col->size(); ++r) {
-      if (!mask.empty() && !mask[r]) continue;
-      counts[col->ValueAt(r)]++;
-    }
-    SqlResultSet rs;
-    rs.grouped = true;
-    rs.rows.reserve(counts.size());
-    for (const auto& [key, n] : counts) {
-      rs.rows.push_back(SqlRow{
-          key, PointResult(static_cast<double>(n), EstimatorKind::kDirect,
-                           table.size())});
-    }
-    ShapeRows(parsed, &rs.rows);
-    return rs;
-  }
-  if (parsed.conjunct.has_value()) {
-    // Nominal conjunctive count: scan the quadrants, no correction.
-    PCLEAN_ASSIGN_OR_RETURN(
-        ConjunctiveScanStats stats,
-        ScanConjunctive(relation, *parsed.query.predicate, *parsed.conjunct,
-                        exec));
-    return ScalarResult(PointResult(static_cast<double>(stats.count_tt),
-                                    EstimatorKind::kDirect, table.size()));
-  }
-  if (parsed.where.has_value() && !parsed.query.predicate.has_value()) {
-    // A WHERE tree beyond the private planner (e.g. OR across
-    // attributes): Direct just evaluates it — compile the whole tree to
-    // a vectorized mask and aggregate nominally.
-    PCLEAN_ASSIGN_OR_RETURN(
-        CompiledPredicate predicate,
-        CompiledPredicate::Compile(relation, *parsed.where));
-    PCLEAN_ASSIGN_OR_RETURN(
-        double value,
-        ExecuteAggregate(relation, parsed.query, predicate, exec));
-    return ScalarResult(
-        PointResult(value, EstimatorKind::kDirect, table.size()));
-  }
-  if (IsExtensionAggregate(parsed.query.agg)) {
-    // Nominal extension aggregate straight off the private relation.
-    PCLEAN_ASSIGN_OR_RETURN(
-        double value, ExecuteAggregate(relation, parsed.query, exec));
-    return ScalarResult(
-        PointResult(value, EstimatorKind::kDirect, table.size()));
-  }
   QueryOptions options;
   options.exec = exec;
-  PCLEAN_ASSIGN_OR_RETURN(QueryResult r,
-                          table.ExecuteDirect(parsed.query, options));
-  return ScalarResult(std::move(r));
+  return RunSql(table, sql, QueryMode::kDirect, options);
 }
 
 void RenderSqlResultText(const SqlResultSet& rs, bool direct,
                          double confidence, std::ostream& out) {
-  if (direct) {
-    if (rs.grouped) {
-      // Group keys render as SQL literals, so NULL and '' stay distinct.
-      for (const SqlRow& row : rs.rows) {
-        out << RenderSqlLiteral(*row.group) << ": "
-            << FormatDouble(row.result.estimate) << "\n";
-      }
-      return;
-    }
-    out << "direct: " << FormatDouble(rs.rows.front().result.estimate)
-        << "\n";
-    return;
-  }
   if (rs.grouped) {
+    // Group keys render as SQL literals, so NULL and '' stay distinct.
     for (const SqlRow& row : rs.rows) {
       out << RenderSqlLiteral(*row.group) << ": "
-          << FormatDouble(row.result.estimate) << " CI: ["
-          << FormatDouble(row.result.ci.lo) << ", "
-          << FormatDouble(row.result.ci.hi) << "]\n";
+          << FormatDouble(row.result.estimate);
+      if (!direct) {
+        out << " CI: [" << FormatDouble(row.result.ci.lo) << ", "
+            << FormatDouble(row.result.ci.hi) << "]";
+      }
+      out << "\n";
     }
+    return;
+  }
+  if (direct) {
+    out << "direct: " << FormatDouble(rs.rows.front().result.estimate)
+        << "\n";
     return;
   }
   const QueryResult& r = rs.rows.front().result;
@@ -288,32 +444,6 @@ void RenderSqlResultText(const SqlResultSet& rs, bool direct,
     out << "bootstrap replicates: " << r.replicates_effective << "/"
         << r.replicates_requested << "\n";
   }
-}
-
-Result<QueryResult> ExecuteSql(const PrivateTable& table,
-                               const std::string& sql,
-                               const QueryOptions& options) {
-  PCLEAN_ASSIGN_OR_RETURN(SqlResultSet rs, ExecuteSqlQuery(table, sql, options));
-  if (rs.grouped) {
-    return Status::InvalidArgument(
-        "query returns " + std::to_string(rs.rows.size()) +
-        " grouped rows; use ExecuteSqlQuery for GROUP BY / SELECT DISTINCT");
-  }
-  return std::move(rs.rows.front().result);
-}
-
-Result<QueryResult> ExecuteSqlDirect(const PrivateTable& table,
-                                     const std::string& sql,
-                                     const ExecutionOptions& exec) {
-  PCLEAN_ASSIGN_OR_RETURN(SqlResultSet rs,
-                          ExecuteSqlQueryDirect(table, sql, exec));
-  if (rs.grouped) {
-    return Status::InvalidArgument(
-        "query returns " + std::to_string(rs.rows.size()) +
-        " grouped rows; use ExecuteSqlQueryDirect for GROUP BY / SELECT "
-        "DISTINCT");
-  }
-  return std::move(rs.rows.front().result);
 }
 
 }  // namespace privateclean

@@ -26,44 +26,105 @@ struct SqlResultSet {
   std::vector<SqlRow> rows;
 };
 
-/// Parses and runs a SQL query against a private table with the
+/// Which estimator family answers a query: the bias-corrected
+/// PrivateClean estimators, or the Direct baseline (nominal values off
+/// the private relation, no re-weighting, degenerate intervals).
+enum class QueryMode { kCorrected, kDirect };
+
+/// How a planned query is answered.
+enum class QueryRoute {
+  kRejected,         ///< No estimator answers it; QueryPlan::status says why.
+  kCorrectedScalar,  ///< COUNT/SUM/AVG, one collapsed predicate (§5–§7).
+  kConjunctive,      ///< COUNT over two single-attribute predicates (§10).
+  kGrouped,          ///< Corrected COUNT per group of GROUP BY (§8.3.4).
+  kExtension,        ///< MEDIAN/VAR/STD/PERCENTILE, point or bootstrap (§10).
+  kDirectScalar,     ///< Nominal aggregate under the compiled WHERE mask.
+  kDirectGrouped,    ///< Nominal masked group counts: GROUP BY, DISTINCT,
+                     ///< COUNT(DISTINCT).
+};
+
+/// The one decision of how a query is priced and answered. Admission
+/// prices `attributes`; ExecutePlan runs `route`. Nothing else re-derives
+/// a route from the SQL.
+///
+/// Corrected routes (PlanQuery with QueryMode::kCorrected):
+///   kCorrectedScalar — any WHERE tree over one attribute collapses to one
+///     Predicate (the estimators only need its matching-value set M_pred);
+///   kConjunctive     — COUNT under an AND of two single-attribute
+///     condition groups;
+///   kGrouped         — GROUP BY <attr> on a bare COUNT;
+///   kExtension       — MEDIAN/VAR/STD/PERCENTILE (predicate applied
+///     nominally); a bootstrap interval when
+///     QueryOptions::bootstrap_replicates > 0.
+/// Forms with no bias-corrected estimator are kRejected with
+/// FailedPrecondition("not privately answerable: ...") naming the form:
+/// MIN/MAX, SELECT DISTINCT, COUNT(DISTINCT), GROUP BY with WHERE or a
+/// non-COUNT aggregate, WHERE trees over three or more attributes, and
+/// two-attribute trees other than an AND under COUNT.
+///
+/// Direct routes (QueryMode::kDirect) evaluate the verbatim WHERE tree
+/// as a vectorized mask, so any tree over any attributes is answered:
+///   kDirectScalar  — every aggregate, MIN/MAX included, through
+///     ExecuteAggregate (whose NULL semantics apply: COUNT counts rows,
+///     SUM/AVG/... read non-NULL values, and a selection whose numeric
+///     values are all NULL is a FailedPrecondition, never 0);
+///   kDirectGrouped — GROUP BY / SELECT DISTINCT rows carry the nominal
+///     masked group counts; COUNT(DISTINCT) is the number of such groups.
+///     Direct GROUP BY is COUNT-only (other aggregates are kRejected
+///     with InvalidArgument).
+///
+/// In both modes a FROM name other than the relation the table was
+/// opened as is kRejected with NotFound naming both (a release answers
+/// to its MANIFEST `relation:` name; unnamed in-process tables accept
+/// any spelling). That is the only NotFound a plan carries: unknown
+/// attributes surface when the route runs.
+struct QueryPlan {
+  QueryRoute route = QueryRoute::kRejected;
+  Status status;  ///< OK unless kRejected.
+
+  /// Aggregate and argument. Corrected routes: `query.predicate` is the
+  /// collapsed WHERE tree (the first conjunct for kConjunctive). Direct
+  /// routes keep the caller's predicate, if any, and `where` verbatim.
+  AggregateQuery query;
+  std::optional<Predicate> conjunct;  ///< kConjunctive's second predicate.
+  std::optional<SqlExpr> where;       ///< The WHERE tree as parsed.
+
+  /// GROUP BY / DISTINCT / COUNT(DISTINCT) attribute; empty otherwise.
+  std::string group_attribute;
+  bool count_distinct = false;  ///< kDirectGrouped reduces to a count.
+
+  /// Every distinct attribute the query reads — WHERE, the aggregate's
+  /// argument, GROUP BY, DISTINCT — in sorted order. Filled for every
+  /// plan, rejected ones included: admission prices a query before the
+  /// estimators decline it.
+  std::vector<std::string> attributes;
+
+  std::optional<SqlOrderBy> order_by;  ///< Grouped-row shaping.
+  std::optional<uint64_t> limit;
+};
+
+/// Plans `parsed` against `table` in `mode`. Never fails: a query no
+/// route answers comes back kRejected with its typed status.
+QueryPlan PlanQuery(const PrivateTable& table, const ParsedSql& parsed,
+                    QueryMode mode);
+
+/// Runs a plan: the route's estimator, ORDER BY / LIMIT shaping, and the
+/// memory accounting every result row carries. A rejected plan returns
+/// its status. Threading per `options.exec`; results are identical at
+/// every thread count.
+Result<SqlResultSet> ExecutePlan(const PrivateTable& table,
+                                 const QueryPlan& plan,
+                                 const QueryOptions& options);
+
+/// Parses, plans (QueryMode::kCorrected) and runs a SQL query with the
 /// PrivateClean estimators:
 ///
-///   ExecuteSqlQuery(pt, "SELECT count(1) FROM r WHERE score >= 3")
-///
-/// Dispatch:
-///  - any single-attribute WHERE tree (comparisons, ranges, AND/OR/NOT,
-///    IN, IS NULL) collapses to one predicate and routes through the
-///    bias-corrected SUM/COUNT/AVG estimators;
-///  - COUNT under an AND of two single-attribute condition groups uses
-///    the §10 conjunctive estimator;
-///  - MEDIAN/VAR/STD/PERCENTILE use the §10 extension aggregates — point
-///    estimates, or bootstrap percentile intervals when
-///    `options.bootstrap_replicates > 0`;
-///  - GROUP BY <attr> on a bare COUNT runs GroupByCountEstimate: one
-///    corrected estimate per clean-domain group, then ORDER BY / LIMIT
-///    shape the rows (stable sort, so ties keep first-appearance order).
-///
-/// Forms with no bias-corrected estimator fail with a typed
-/// FailedPrecondition("not privately answerable: ...") naming the form:
-/// MIN/MAX, SELECT DISTINCT, COUNT(DISTINCT), GROUP BY combined with
-/// WHERE or a non-COUNT aggregate, and WHERE trees spanning more than
-/// two attributes (or two attributes outside a pure COUNT conjunction).
-/// The FROM name is validated against the relation the table was opened
-/// as: a release answers only to its MANIFEST `relation:` name (default
-/// "r", the paper's private view R), and an unknown name is a typed
-/// NotFound naming both. Unnamed in-process tables accept any spelling.
+///   ExecuteSqlQuery(pt, "SELECT count(1) FROM r WHERE major >= 'M'")
 Result<SqlResultSet> ExecuteSqlQuery(const PrivateTable& table,
                                      const std::string& sql,
                                      const QueryOptions& options = QueryOptions());
 
-/// The Direct-baseline counterpart: nominal values off the private
-/// relation, no re-weighting, degenerate intervals. Because nothing is
-/// corrected, Direct answers every parseable form — MIN/MAX, GROUP BY
-/// with WHERE and any aggregate, SELECT DISTINCT (group rows whose
-/// results carry the nominal group counts), and arbitrary
-/// multi-attribute WHERE trees (compiled to a vectorized mask).
-/// COUNT(DISTINCT attr) returns the nominal distinct-value count.
+/// The Direct-baseline counterpart (QueryMode::kDirect).
 Result<SqlResultSet> ExecuteSqlQueryDirect(const PrivateTable& table,
                                            const std::string& sql,
                                            const ExecutionOptions& exec = {});
@@ -76,16 +137,6 @@ Result<SqlResultSet> ExecuteSqlQueryDirect(const PrivateTable& table,
 /// the scalar CI line names.
 void RenderSqlResultText(const SqlResultSet& rs, bool direct,
                          double confidence, std::ostream& out);
-
-/// Scalar convenience wrappers: the single QueryResult of a non-grouped
-/// query. Grouped queries (GROUP BY / SELECT DISTINCT) return
-/// InvalidArgument directing callers to the SqlResultSet entry points.
-Result<QueryResult> ExecuteSql(const PrivateTable& table,
-                               const std::string& sql,
-                               const QueryOptions& options = QueryOptions());
-Result<QueryResult> ExecuteSqlDirect(const PrivateTable& table,
-                                     const std::string& sql,
-                                     const ExecutionOptions& exec = {});
 
 }  // namespace privateclean
 

@@ -267,17 +267,6 @@ class Parser {
     if (Peek().kind != TokenKind::kEnd) {
       return Err("unexpected trailing input '" + Peek().text + "'");
     }
-    if (out.where.has_value()) {
-      // Pre-compute the estimator routing when the tree has one: callers
-      // keep reading `query.predicate`/`conjunct` as before. A tree
-      // without a plan still parses — execution surfaces the typed
-      // "not privately answerable" error from PlanWhere.
-      auto plan = PlanWhere(*out.where, out.query.agg);
-      if (plan.ok()) {
-        out.query.predicate = std::move(plan.ValueOrDie().predicate);
-        out.conjunct = std::move(plan.ValueOrDie().conjunct);
-      }
-    }
     return out;
   }
 
@@ -601,15 +590,6 @@ class Parser {
   size_t pos_ = 0;
 };
 
-std::string JoinAttributes(const std::vector<std::string>& attrs) {
-  std::string out;
-  for (size_t i = 0; i < attrs.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "'" + attrs[i] + "'";
-  }
-  return out;
-}
-
 }  // namespace
 
 Result<ParsedSql> ParseSql(const std::string& sql) {
@@ -617,63 +597,6 @@ Result<ParsedSql> ParseSql(const std::string& sql) {
   PCLEAN_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
   Parser parser(std::move(tokens));
   return parser.Parse();
-}
-
-Result<WherePlan> PlanWhere(const SqlExpr& where, AggregateType agg) {
-  std::vector<std::string> attrs = SqlExprAttributes(where);
-  if (attrs.empty()) {
-    return Status::Internal("WHERE tree references no attribute");
-  }
-  WherePlan plan;
-  if (attrs.size() == 1) {
-    // Any boolean structure over one attribute reduces to subset
-    // membership M_pred, which is all the corrected estimators need.
-    PCLEAN_ASSIGN_OR_RETURN(Predicate collapsed,
-                            CollapseSingleAttribute(where));
-    plan.predicate = std::move(collapsed);
-    return plan;
-  }
-  if (attrs.size() > 2) {
-    return Status::FailedPrecondition(
-        "not privately answerable: WHERE references " +
-        std::to_string(attrs.size()) + " attributes (" +
-        JoinAttributes(attrs) +
-        "); the conjunctive estimator composes exactly two");
-  }
-  if (agg != AggregateType::kCount) {
-    return Status::FailedPrecondition(
-        std::string("not privately answerable: multi-attribute WHERE with ") +
-        AggregateTypeToString(agg) +
-        "(...) — the conjunctive estimator is derived for COUNT only");
-  }
-  if (where.kind != SqlExpr::Kind::kAnd) {
-    return Status::FailedPrecondition(
-        "not privately answerable: OR/NOT across attributes " +
-        JoinAttributes(attrs) +
-        " — only an AND of two single-attribute condition groups has a "
-        "derived estimator (the §10 conjunctive COUNT)");
-  }
-  std::vector<SqlExpr> group_a;
-  std::vector<SqlExpr> group_b;
-  for (const SqlExpr& child : where.children) {
-    std::vector<std::string> child_attrs = SqlExprAttributes(child);
-    if (child_attrs.size() != 1) {
-      return Status::FailedPrecondition(
-          "not privately answerable: an AND operand mixes attributes " +
-          JoinAttributes(child_attrs) +
-          " — group each attribute's conditions so the WHERE is "
-          "<conditions on one attribute> AND <conditions on the other>");
-    }
-    (child_attrs.front() == attrs.front() ? group_a : group_b)
-        .push_back(child);
-  }
-  PCLEAN_ASSIGN_OR_RETURN(Predicate pred_a, CollapseSingleAttribute(
-                                                SqlExpr::MakeAnd(group_a)));
-  PCLEAN_ASSIGN_OR_RETURN(Predicate pred_b, CollapseSingleAttribute(
-                                                SqlExpr::MakeAnd(group_b)));
-  plan.predicate = std::move(pred_a);
-  plan.conjunct = std::move(pred_b);
-  return plan;
 }
 
 namespace {
@@ -784,14 +707,6 @@ std::string RenderExpr(const SqlExpr& expr) {
     }
   }
   return "";
-}
-
-std::string ToUpperAscii(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  }
-  return out;
 }
 
 }  // namespace

@@ -48,20 +48,18 @@ struct SqlOrderBy {
 /// queries (GROUP BY or SELECT DISTINCT), where they shape the
 /// per-group result rows after estimation.
 ///
-/// ParseSql accepts the full grammar; whether a form is *privately
-/// answerable* is decided at execution (core/sql_execution.h): forms
-/// without a bias-corrected estimator (MIN/MAX, DISTINCT, COUNT
-/// (DISTINCT), multi-attribute trees beyond a two-attribute COUNT
-/// conjunction, GROUP BY beyond COUNT) fail there with a typed
+/// ParseSql is syntax only. Which route answers a parsed query — and
+/// whether it is *privately answerable* at all — is decided by
+/// PlanQuery (core/sql_execution.h), which collapses the WHERE tree for
+/// the corrected estimators and rejects forms without one with a typed
 /// FailedPrecondition naming the offending form.
 struct ParsedSql {
   std::string table_name;
-  /// Aggregate + the collapsed single-attribute predicate when the WHERE
-  /// tree is collapsible (see PlanWhere); `numeric_attribute`/`percentile`
-  /// as parsed.
+  /// Aggregate and argument as parsed. ParseSql never sets
+  /// `query.predicate` (the WHERE tree stays in `where`); programmatic
+  /// callers that already hold a Predicate put it there instead of a
+  /// WHERE tree.
   AggregateQuery query;
-  /// Second conjunct of a two-attribute COUNT conjunction (§10).
-  std::optional<Predicate> conjunct;
   /// The full WHERE tree, verbatim (set iff the query has WHERE).
   std::optional<SqlExpr> where;
 
@@ -78,24 +76,6 @@ struct ParsedSql {
 /// Parses `sql` into a ParsedSql. Returns InvalidArgument with a
 /// position-annotated message on syntax errors.
 Result<ParsedSql> ParseSql(const std::string& sql);
-
-/// The private-estimation plan of a WHERE tree.
-struct WherePlan {
-  /// Collapsed single-attribute predicate (always set on success).
-  std::optional<Predicate> predicate;
-  /// Second single-attribute conjunct of a two-attribute COUNT
-  /// conjunction; unset for single-attribute trees.
-  std::optional<Predicate> conjunct;
-};
-
-/// Decides how a WHERE tree routes through the bias-corrected
-/// estimators: a tree over one attribute collapses to a single
-/// Predicate (any boolean structure — the estimators only need the
-/// matching-value subset M_pred); a pure conjunction over exactly two
-/// attributes under COUNT splits into the §10 conjunctive pair.
-/// Everything else returns FailedPrecondition("not privately
-/// answerable: ...") naming the offending form.
-Result<WherePlan> PlanWhere(const SqlExpr& where, AggregateType agg);
 
 /// Renders `value` as a SQL literal: NULL (unquoted keyword), bare
 /// numbers (doubles keep a decimal point or exponent so the type

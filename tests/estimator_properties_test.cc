@@ -55,7 +55,7 @@ TEST_P(EstimatorSweepTest, CountIsApproximatelyUnbiased) {
     Rng rng(5000 + t);
     PrivateTable pt = *PrivateTable::Create(
         data, GrrParams::Uniform(sp.p, 5.0), GrrOptions{}, rng);
-    QueryResult r = *pt.Count(pred);
+    QueryResult r = *pt.Execute(AggregateQuery::Count(pred));
     estimates.Add(r.estimate);
     if (r.ci.Contains(truth)) ++covered;
   }
@@ -93,7 +93,7 @@ TEST_P(EstimatorSweepTest, SumIsApproximatelyUnbiased) {
     Rng rng(6000 + t);
     PrivateTable pt = *PrivateTable::Create(
         data, GrrParams::Uniform(sp.p, 5.0), GrrOptions{}, rng);
-    QueryResult r = *pt.Sum("value", pred);
+    QueryResult r = *pt.Execute(AggregateQuery::Sum("value", pred));
     estimates.Add(r.estimate);
     if (r.ci.Contains(truth)) ++covered;
   }
@@ -160,7 +160,7 @@ TEST_P(CleanedEstimatorSweepTest, CountUnbiasedAfterMerging) {
     PrivateTable pt = *PrivateTable::Create(
         dirty, GrrParams::Uniform(sp.p, 5.0), GrrOptions{}, rng);
     ASSERT_TRUE(pt.Clean(FindReplace("category", merges)).ok());
-    estimates.Add(pt.Count(pred)->estimate);
+    estimates.Add(pt.Execute(AggregateQuery::Count(pred))->estimate);
   }
   double se = std::sqrt(estimates.SampleVariance() / trials);
   EXPECT_NEAR(estimates.Mean(), truth, std::max(4.0 * se, 2.0));

@@ -4,6 +4,10 @@
 
 #include <cmath>
 
+#include "common/random.h"
+#include "core/private_table.h"
+#include "table/table_builder.h"
+
 namespace privateclean {
 namespace {
 
@@ -183,17 +187,45 @@ TEST(AvgEstimatorTest, FailsWhenCountIntervalStraddlesZero) {
   }
 }
 
+// A small private relation for the Direct baseline: discrete `d`,
+// numeric `v`.
+PrivateTable SmallPrivateTable() {
+  Schema schema = *Schema::Make(
+      {Field::Discrete("d"), Field::Numerical("v", ValueType::kDouble)});
+  TableBuilder builder(schema);
+  const char* values[] = {"a", "b", "c"};
+  for (int i = 0; i < 200; ++i) {
+    builder.Row({Value(values[i % 3]), Value(static_cast<double>(i % 10))});
+  }
+  Rng rng(5);
+  return *PrivateTable::Create(*builder.Finish(),
+                               GrrParams::Uniform(0.25, 1.0), GrrOptions{},
+                               rng);
+}
+
+// Direct (§8.1) reads the nominal value off the private relation through
+// the same query plan as the corrected estimators: no re-weighting and a
+// degenerate interval.
 TEST(DirectEstimatorsTest, NominalPassThrough) {
-  QueryScanStats stats = Stats(100, 25, 75.0, 300.0, 3.75, 2.0);
-  EXPECT_DOUBLE_EQ(DirectCount(stats).estimate, 25.0);
-  EXPECT_DOUBLE_EQ(DirectSum(stats).estimate, 75.0);
-  EXPECT_DOUBLE_EQ(DirectAvg(stats)->estimate, 3.0);
-  EXPECT_EQ(DirectCount(stats).estimator, EstimatorKind::kDirect);
+  PrivateTable pt = SmallPrivateTable();
+  Predicate pred = Predicate::Equals("d", Value("a"));
+  for (const AggregateQuery& q :
+       {AggregateQuery::Count(pred), AggregateQuery::Sum("v", pred),
+        AggregateQuery::Avg("v", pred)}) {
+    SCOPED_TRACE(AggregateTypeToString(q.agg));
+    QueryResult r = *pt.ExecuteDirect(q);
+    EXPECT_EQ(r.estimator, EstimatorKind::kDirect);
+    EXPECT_EQ(r.estimate, *ExecuteAggregate(pt.relation(), q));
+    EXPECT_EQ(r.ci.lo, r.estimate);
+    EXPECT_EQ(r.ci.hi, r.estimate);
+  }
 }
 
 TEST(DirectEstimatorsTest, AvgWithNoMatchesFails) {
-  QueryScanStats stats = Stats(100, 0, 0.0, 300.0, 3.0, 2.0);
-  EXPECT_TRUE(DirectAvg(stats).status().IsFailedPrecondition());
+  PrivateTable pt = SmallPrivateTable();
+  auto r = pt.ExecuteDirect(
+      AggregateQuery::Avg("v", Predicate::Equals("d", Value("nowhere"))));
+  EXPECT_TRUE(r.status().IsFailedPrecondition());
 }
 
 TEST(EstimationInputsTest, ValidateChecksAllFields) {

@@ -249,7 +249,7 @@ TEST_F(FailpointTortureTest, EverySiteOneAtATimeOnOpenAndQuery) {
           << table.status().ToString();
       continue;
     }
-    auto count = table->Count(pred);
+    auto count = table->Execute(AggregateQuery::Count(pred));
     failpoint::DeactivateAll();
     if (count.ok()) {
       EXPECT_TRUE(std::isfinite(count->estimate)) << count->estimate;
@@ -262,7 +262,7 @@ TEST_F(FailpointTortureTest, EverySiteOneAtATimeOnOpenAndQuery) {
     // the registry clean must succeed.
     auto clean_table = OpenRelease(dir);
     ASSERT_TRUE(clean_table.ok()) << clean_table.status().ToString();
-    auto clean_count = clean_table->Count(pred);
+    auto clean_count = clean_table->Execute(AggregateQuery::Count(pred));
     ASSERT_TRUE(clean_count.ok()) << clean_count.status().ToString();
     EXPECT_TRUE(std::isfinite(clean_count->estimate));
   }
@@ -285,7 +285,10 @@ TEST_F(FailpointTortureTest, EveryCataloguedSiteSitsOnAnExercisedPath) {
   // query.scan.begin, and the lazy provenance.graph.build.
   auto table = OpenRelease(dir);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
-  ASSERT_TRUE(table->Count(Predicate::In("city", {Value("Berkeley")})).ok());
+  ASSERT_TRUE(table
+                  ->Execute(AggregateQuery::Count(
+                      Predicate::In("city", {Value("Berkeley")})))
+                  .ok());
   ASSERT_TRUE(VerifyRelease(dir).ok());
   // Ledger cycle: open + mutate (WAL commit sites) + checkpoint +
   // reopen over an existing WAL (recovery sites).

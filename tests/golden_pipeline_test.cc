@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/admission.h"
 #include "core/privateclean.h"
 #include "core/release.h"
 #include "core/sql_execution.h"
@@ -19,12 +20,15 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "table/csv.h"
+#include "table/table_builder.h"
 
 // Golden end-to-end regression: a fixed-seed run of the full pipeline —
 // synthetic dirty relation → CSV round trip through the speculative-split
 // parser → GRR privatization → Transform cleaning (which rebuilds the
-// provenance graph) → COUNT/SUM/AVG estimates — bit-compared against a
-// checked-in golden file. Estimates and confidence bounds are serialized
+// provenance graph) → COUNT/SUM/AVG estimates, plus one `route` row per
+// query-plan route in both modes (estimate bits and ε price, or the
+// status code of a rejected form) — bit-compared against a checked-in
+// golden file. Estimates and confidence bounds are serialized
 // as raw IEEE-754 hex, so any change to the parser, the sharded
 // estimator passes, the RNG forking discipline, or the provenance cut
 // that perturbs even the last ulp of any result fails this test. Runs at
@@ -46,6 +50,117 @@ std::string HexBits(double v) {
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(bits));
   return buf;
+}
+
+/// A three-attribute relation for the route rows: the synthetic
+/// (category, value) pair plus an independent discrete `region`, so
+/// conjunctions and three-attribute WHERE trees have real columns.
+GrrOutput RouteRelease(const ExecutionOptions& exec) {
+  SyntheticOptions data_options;
+  data_options.num_rows = 400;
+  data_options.num_distinct = 20;
+  data_options.zipf_skew = 1.5;
+  Rng data_rng(777);
+  Table base = *GenerateSynthetic(data_options, data_rng);
+  Schema schema = *Schema::Make({Field::Discrete("category"),
+                                 Field::Numerical("value", ValueType::kDouble),
+                                 Field::Discrete("region")});
+  TableBuilder builder(schema);
+  const Column& category = **base.ColumnByName("category");
+  const Column& value = **base.ColumnByName("value");
+  Rng region_rng(99);
+  for (size_t r = 0; r < base.num_rows(); ++r) {
+    builder.Row({category.ValueAt(r), value.ValueAt(r),
+                 Value("r" + std::to_string(region_rng.UniformInt(4)))});
+  }
+  Table dirty = *builder.Finish();
+  GrrOptions grr_options;
+  grr_options.exec = exec;
+  Rng grr_rng(4243);
+  return *ApplyGrr(dirty, GrrParams::Uniform(0.25, 5.0), grr_options, grr_rng);
+}
+
+/// One query per route of the query plan, each run in both modes
+/// (corrected and Direct): answered forms pin their estimates, rejected
+/// forms their status code, and every row its ε price.
+struct RouteQuery {
+  const char* name;
+  const char* sql;
+  bool bootstrap;  ///< Corrected mode runs a 50-replicate bootstrap.
+};
+
+const RouteQuery kRouteQueries[] = {
+    {"scalar_where", "SELECT avg(value) FROM r WHERE region = 'r1'", false},
+    {"scalar_all", "SELECT sum(value) FROM r", false},
+    {"scalar_or", "SELECT sum(value) FROM r WHERE category = 'c0' OR "
+                  "category = 'c5'", false},
+    {"numeric_range", "SELECT count(1) FROM r WHERE value >= 20 AND "
+                      "value < 40", false},
+    {"conjunctive", "SELECT count(1) FROM r WHERE category = 'c0' AND "
+                    "region = 'r1'", false},
+    {"conjunctive_avg", "SELECT avg(value) FROM r WHERE category = 'c0' AND "
+                        "region = 'r1'", false},
+    {"cross_or", "SELECT avg(value) FROM r WHERE category = 'c0' OR "
+                 "region = 'r2'", false},
+    {"grouped", "SELECT count(1) FROM r GROUP BY region ORDER BY region DESC "
+                "LIMIT 3", false},
+    {"grouped_where", "SELECT count(1) FROM r WHERE value > 30 GROUP BY "
+                      "region ORDER BY count(1) DESC", false},
+    {"grouped_sum", "SELECT sum(value) FROM r GROUP BY region", false},
+    {"median", "SELECT median(value) FROM r WHERE category IN ('c0', 'c1')",
+     false},
+    {"var", "SELECT var(value) FROM r", false},
+    {"std", "SELECT std(value) FROM r WHERE region != 'r2'", false},
+    {"percentile_bootstrap", "SELECT percentile(value, 90) FROM r", true},
+    {"min", "SELECT min(value) FROM r", false},
+    {"max_where", "SELECT max(value) FROM r WHERE category = 'c1'", false},
+    {"distinct", "SELECT DISTINCT region FROM r ORDER BY region DESC LIMIT 2",
+     false},
+    {"count_distinct", "SELECT count(DISTINCT category) FROM r", false},
+    {"three_attributes", "SELECT count(1) FROM r WHERE category = 'c0' AND "
+                         "region = 'r1' AND value > 10", false},
+    {"unknown_from", "SELECT count(1) FROM t WHERE category = 'c0'", false},
+    {"unknown_attribute", "SELECT count(1) FROM r WHERE nope = 'x'", false},
+};
+
+std::string StatusCodeToken(const Status& status) {
+  std::string code = StatusCodeToString(status.code());
+  for (char& c : code) {
+    if (c == ' ') c = '_';
+  }
+  return code;
+}
+
+std::string ResultBits(const QueryResult& r) {
+  return HexBits(r.estimate) + " " + HexBits(r.ci.lo) + " " +
+         HexBits(r.ci.hi);
+}
+
+/// "route <name> <mode> <answer> price <price>" for one query and mode.
+std::string RouteLine(const PrivateTable& table, const RouteQuery& q,
+                      bool direct, const ExecutionOptions& exec) {
+  std::string line = std::string("route ") + q.name +
+                     (direct ? " direct " : " corrected ");
+  QueryOptions options;
+  options.exec = exec;
+  if (q.bootstrap) options.bootstrap_replicates = 50;
+  Result<SqlResultSet> rs = direct ? ExecuteSqlQueryDirect(table, q.sql, exec)
+                                   : ExecuteSqlQuery(table, q.sql, options);
+  if (!rs.ok()) {
+    line += "status " + StatusCodeToken(rs.status());
+  } else if (rs->grouped) {
+    line += "groups " + std::to_string(rs->rows.size());
+    for (const SqlRow& row : rs->rows) {
+      line += " " + RenderSqlLiteral(*row.group) + ":" +
+              ResultBits(row.result);
+    }
+  } else {
+    line += ResultBits(rs->rows.front().result);
+  }
+  Result<double> price = QueryEpsilonCost(table, *ParseSql(q.sql));
+  line += " price " +
+          (price.ok() ? HexBits(*price) : StatusCodeToken(price.status()));
+  return line + "\n";
 }
 
 /// Runs the whole pipeline at `threads` and renders every estimate as
@@ -95,7 +210,8 @@ std::string RunPipeline(size_t threads) {
   };
   std::ostringstream out;
   for (const auto& q : queries) {
-    QueryResult r = *ExecuteSql(pt, q[1], query_options);
+    QueryResult r =
+        ExecuteSqlQuery(pt, q[1], query_options)->rows.front().result;
     out << q[0] << " " << HexBits(r.estimate) << " " << HexBits(r.ci.lo)
         << " " << HexBits(r.ci.hi) << "\n";
   }
@@ -114,7 +230,8 @@ std::string RunPipeline(size_t threads) {
       {"sum_range", "SELECT sum(value) FROM r WHERE category <= 'c1'"},
   };
   for (const auto& q : grown) {
-    QueryResult r = *ExecuteSql(pt, q[1], query_options);
+    QueryResult r =
+        ExecuteSqlQuery(pt, q[1], query_options)->rows.front().result;
     out << q[0] << " " << HexBits(r.estimate) << " " << HexBits(r.ci.lo)
         << " " << HexBits(r.ci.hi) << "\n";
   }
@@ -130,6 +247,22 @@ std::string RunPipeline(size_t threads) {
     out << "group_" << RenderSqlLiteral(*row.group) << " "
         << HexBits(row.result.estimate) << " " << HexBits(row.result.ci.lo)
         << " " << HexBits(row.result.ci.hi) << "\n";
+  }
+
+  // Every route of the query plan in both modes, on a relation that
+  // answers to FROM r and has been cleaned like the one above.
+  GrrOutput routes = RouteRelease(exec);
+  routes.metadata.relation_name = "r";
+  PrivateTable route_table = *PrivateTable::FromPrivateRelation(
+      std::move(routes.table), std::move(routes.metadata));
+  EXPECT_TRUE(route_table
+                  .Clean(FindReplace::Single("category", SyntheticCategory(3),
+                                             SyntheticCategory(0)))
+                  .ok());
+  for (const RouteQuery& q : kRouteQueries) {
+    for (bool direct : {false, true}) {
+      out << RouteLine(route_table, q, direct, exec);
+    }
   }
   return out.str();
 }
@@ -214,6 +347,64 @@ TEST(GoldenPipelineTest, ServedResultsAreByteIdenticalToLocalAtEveryPoolSize) {
       EXPECT_EQ(*reply, expected[i]) << "served bytes diverged from the "
                                         "local rendering for: "
                                      << sqls[i];
+    }
+    ASSERT_TRUE(client->Bye().ok());
+    ASSERT_TRUE(srv->Drain().ok());
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// The route rows over the wire: every route of the query plan, in both
+// modes, must reach a `pclean serve` client byte-identical to the local
+// rendering — answers and typed rejections alike — at every pool size.
+TEST(GoldenPipelineTest, ServedRoutesAreByteIdenticalToLocalAtEveryPoolSize) {
+  const std::string dir = ::testing::TempDir() + "/pclean_golden_routes";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(WriteRelease(RouteRelease(ExecutionOptions{}), dir).ok());
+
+  const double confidence = 0.9;
+  PrivateTable local = *OpenRelease(dir);
+  QueryOptions query_options;
+  query_options.confidence = confidence;
+  // Local `pclean query` output per (query, mode): the rendering, or the
+  // typed error the client would surface.
+  std::vector<std::string> expected;
+  for (const RouteQuery& q : kRouteQueries) {
+    for (bool direct : {false, true}) {
+      Result<SqlResultSet> rs =
+          direct ? ExecuteSqlQueryDirect(local, q.sql)
+                 : ExecuteSqlQuery(local, q.sql, query_options);
+      std::ostringstream text;
+      if (rs.ok()) {
+        RenderSqlResultText(*rs, direct, confidence, text);
+      } else {
+        text << "error: " << rs.status().ToString();
+      }
+      expected.push_back(text.str());
+    }
+  }
+
+  for (size_t pool : {1u, 2u, 8u}) {
+    SCOPED_TRACE("pool_threads=" + std::to_string(pool));
+    server::ServerOptions options;
+    options.socket_path = "/tmp/pcsrv_route_" + std::to_string(::getpid()) +
+                          "_" + std::to_string(pool) + ".sock";
+    options.release_dirs = {dir};
+    options.pool_threads = pool;
+    auto srv = server::Server::Start(options);
+    ASSERT_TRUE(srv.ok()) << srv.status().ToString();
+    auto client = server::Client::Connect(options.socket_path);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    size_t i = 0;
+    for (const RouteQuery& q : kRouteQueries) {
+      for (bool direct : {false, true}) {
+        auto reply = client->Query(q.sql, direct, confidence);
+        const std::string got =
+            reply.ok() ? *reply : "error: " + reply.status().ToString();
+        EXPECT_EQ(got, expected[i++])
+            << "served bytes diverged from the local rendering for "
+            << (direct ? "direct " : "corrected ") << q.sql;
+      }
     }
     ASSERT_TRUE(client->Bye().ok());
     ASSERT_TRUE(srv->Drain().ok());

@@ -41,7 +41,7 @@ TEST(IntegrationTest, SkewedCountPrivateCleanBeatsDirect) {
     Rng rng(100 + t);
     PrivateTable pt = *PrivateTable::Create(
         data, GrrParams::Uniform(0.3, 10.0), GrrOptions{}, rng);
-    pc.push_back(pt.Count(pred)->estimate);
+    pc.push_back(pt.Execute(AggregateQuery::Count(pred))->estimate);
     direct.push_back(
         pt.ExecuteDirect(AggregateQuery::Count(pred))->estimate);
   }
@@ -72,7 +72,7 @@ TEST(IntegrationTest, ErrorRateFlatForPrivateClean) {
         injected.dirty, GrrParams::Uniform(0.2, 10.0), GrrOptions{}, rng);
     ASSERT_TRUE(
         pt.Clean(FindReplace("category", injected.repair_map)).ok());
-    pc.push_back(pt.Count(pred)->estimate);
+    pc.push_back(pt.Execute(AggregateQuery::Count(pred))->estimate);
     direct.push_back(
         pt.ExecuteDirect(AggregateQuery::Count(pred))->estimate);
   }
@@ -111,7 +111,7 @@ TEST(IntegrationTest, TpcdsFdRepairPipeline) {
     }
   }
   Predicate pred = Predicate::Equals("ca_state", Value(top_state));
-  double pc = pt.Count(pred)->estimate;
+  double pc = pt.Execute(AggregateQuery::Count(pred))->estimate;
   double direct = pt.ExecuteDirect(AggregateQuery::Count(pred))->estimate;
   double truth = static_cast<double>(top_count);
   EXPECT_LE(std::abs(pc - truth), std::abs(direct - truth) + 15.0);
@@ -138,7 +138,7 @@ TEST(IntegrationTest, TpcdsMdRepairPipeline) {
   Predicate pred = Predicate::Equals("ca_country", "United States");
   double truth =
       *ExecuteAggregate(repaired_truth, AggregateQuery::Count(pred));
-  double pc = pt.Count(pred)->estimate;
+  double pc = pt.Execute(AggregateQuery::Count(pred))->estimate;
   EXPECT_NEAR(pc, truth, 0.25 * truth);
 }
 
@@ -165,9 +165,9 @@ TEST(IntegrationTest, IntelWirelessPipeline) {
       *PrivateTable::Create(data.dirty, params, GrrOptions{}, grr_rng);
   ASSERT_TRUE(pt.Clean(MergeToNull("sensor_id", data.is_spurious)).ok());
 
-  double pc_count = pt.Count(pred)->estimate;
+  double pc_count = pt.Execute(AggregateQuery::Count(pred))->estimate;
   EXPECT_NEAR(pc_count, truth_count, 0.05 * truth_count);
-  double pc_avg = pt.Avg("temp", pred)->estimate;
+  double pc_avg = pt.Execute(AggregateQuery::Avg("temp", pred))->estimate;
   EXPECT_NEAR(pc_avg, truth_avg, 0.25 * std::abs(truth_avg));
 }
 
@@ -185,7 +185,7 @@ TEST(IntegrationTest, McafePipeline) {
     Rng grr_rng(300 + t);
     PrivateTable pt = *PrivateTable::Create(
         data, GrrParams::Uniform(0.1, 1.0), GrrOptions{}, grr_rng);
-    pc.push_back(pt.Count(europe)->estimate);
+    pc.push_back(pt.Execute(AggregateQuery::Count(europe))->estimate);
     direct.push_back(
         pt.ExecuteDirect(AggregateQuery::Count(europe))->estimate);
   }

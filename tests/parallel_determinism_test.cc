@@ -120,10 +120,10 @@ TEST(ParallelDeterminismTest, PrivateTableQueryIdenticalAcrossThreadCounts) {
   Predicate pred = Predicate::Equals("category", SyntheticCategory(0));
   QueryOptions options;
   options.exec.num_threads = 1;
-  QueryResult base = *pt.Count(pred, options);
+  QueryResult base = *pt.Execute(AggregateQuery::Count(pred), options);
   for (size_t threads : {2u, 8u}) {
     options.exec.num_threads = threads;
-    QueryResult r = *pt.Count(pred, options);
+    QueryResult r = *pt.Execute(AggregateQuery::Count(pred), options);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     EXPECT_EQ(r.estimate, base.estimate);
     EXPECT_EQ(r.ci.lo, base.ci.lo);

@@ -66,7 +66,7 @@ TEST(PrivateTableTest, CountCorrectsTowardTruth) {
   for (int i = 0; i < trials; ++i) {
     PrivateTable pt = MakePrivate(0.4, 0.5, 1000 + i);
     Predicate pred = Predicate::Equals("major", "EECS");
-    pc_sum += pt.Count(pred)->estimate;
+    pc_sum += pt.Execute(AggregateQuery::Count(pred))->estimate;
     direct_sum += pt.ExecuteDirect(AggregateQuery::Count(pred))->estimate;
   }
   double pc_mean = pc_sum / trials;
@@ -87,7 +87,7 @@ TEST(PrivateTableTest, CleaningThenQueryUsesProvenance) {
   EstimationInputs in = *pt.InputsForPredicate(pred, "", QueryOptions{});
   EXPECT_DOUBLE_EQ(in.l, 2.0);  // Two dirty spellings merged.
   EXPECT_DOUBLE_EQ(in.n, 6.0);
-  QueryResult r = *pt.Count(pred);
+  QueryResult r = *pt.Execute(AggregateQuery::Count(pred));
   EXPECT_DOUBLE_EQ(r.l, 2.0);
 }
 
@@ -120,7 +120,7 @@ TEST(PrivateTableTest, ExtractThenPredicateOnDerivedAttribute) {
       });
   ASSERT_TRUE(pt.Clean(extract).ok());
   Predicate pred = Predicate::Equals("is_eng", "yes");
-  QueryResult r = *pt.Count(pred);
+  QueryResult r = *pt.Execute(AggregateQuery::Count(pred));
   EXPECT_DOUBLE_EQ(r.n, 6.0);  // Anchored to major's dirty domain.
   EXPECT_DOUBLE_EQ(r.l, 3.0);  // EECS + two Mech spellings.
 }
@@ -128,8 +128,8 @@ TEST(PrivateTableTest, ExtractThenPredicateOnDerivedAttribute) {
 TEST(PrivateTableTest, SumAndAvgRun) {
   PrivateTable pt = MakePrivate(0.1, 0.5, 10);
   Predicate pred = Predicate::Equals("major", "EECS");
-  QueryResult sum = *pt.Sum("score", pred);
-  QueryResult avg = *pt.Avg("score", pred);
+  QueryResult sum = *pt.Execute(AggregateQuery::Sum("score", pred));
+  QueryResult avg = *pt.Execute(AggregateQuery::Avg("score", pred));
   // Truth: sum 800, avg 4.0. Loose sanity bounds.
   EXPECT_NEAR(sum.estimate, 800.0, 250.0);
   EXPECT_NEAR(avg.estimate, 4.0, 1.0);
@@ -140,7 +140,7 @@ TEST(PrivateTableTest, ExecuteDispatch) {
   PrivateTable pt = MakePrivate(0.1, 0.5, 11);
   Predicate pred = Predicate::Equals("major", "Math");
   QueryResult via_execute = *pt.Execute(AggregateQuery::Count(pred));
-  QueryResult via_count = *pt.Count(pred);
+  QueryResult via_count = *pt.Execute(AggregateQuery::Count(pred));
   EXPECT_DOUBLE_EQ(via_execute.estimate, via_count.estimate);
 }
 
@@ -157,13 +157,14 @@ TEST(PrivateTableTest, ExecuteWithoutPredicateIsDirectUnbiased) {
 TEST(PrivateTableTest, PredicateOnNumericAttributeFails) {
   PrivateTable pt = MakePrivate();
   Predicate pred = Predicate::Equals("score", Value(4.0));
-  auto r = pt.Count(pred);
+  auto r = pt.Execute(AggregateQuery::Count(pred));
   EXPECT_FALSE(r.ok());
 }
 
 TEST(PrivateTableTest, PredicateOnMissingAttributeFails) {
   PrivateTable pt = MakePrivate();
-  EXPECT_FALSE(pt.Count(Predicate::Equals("nope", "x")).ok());
+  EXPECT_FALSE(
+      pt.Execute(AggregateQuery::Count(Predicate::Equals("nope", "x"))).ok());
 }
 
 TEST(PrivateTableTest, ExecuteRejectsExtendedAggregates) {
@@ -213,16 +214,17 @@ TEST(PrivateTableTest, GraphCacheInvalidatedByCleaning) {
   // again: the cached graph must be refreshed, not reused.
   PrivateTable pt = MakePrivate(0.2, 0.5, 31);
   Predicate pred = Predicate::Equals("major", "Mech. Eng.");
-  QueryResult before = *pt.Count(pred);
+  QueryResult before = *pt.Execute(AggregateQuery::Count(pred));
   EXPECT_DOUBLE_EQ(before.l, 1.0);
   ASSERT_TRUE(pt.Clean(FindReplace::Single(
                    "major", Value("Mechanical Engineering"),
                    Value("Mech. Eng.")))
                   .ok());
-  QueryResult after = *pt.Count(pred);
+  QueryResult after = *pt.Execute(AggregateQuery::Count(pred));
   EXPECT_DOUBLE_EQ(after.l, 2.0);  // Stale cache would still say 1.
   // Repeated queries (cache hits) agree with the first post-clean one.
-  EXPECT_DOUBLE_EQ(pt.Count(pred)->estimate, after.estimate);
+  EXPECT_DOUBLE_EQ(pt.Execute(AggregateQuery::Count(pred))->estimate,
+                   after.estimate);
 }
 
 TEST(PrivateTableTest, ProvenanceForExposesGraph) {

@@ -132,8 +132,8 @@ TEST(ReleaseFuzzTest, RandomSchemasRoundTrip) {
     const Domain& domain =
         grr->metadata.discrete.at(first.name).domain;
     Predicate pred = Predicate::Equals(first.name, domain.value(0));
-    auto r_orig = pt_orig->Count(pred);
-    auto r_loaded = pt_loaded->Count(pred);
+    auto r_orig = pt_orig->Execute(AggregateQuery::Count(pred));
+    auto r_loaded = pt_loaded->Execute(AggregateQuery::Count(pred));
     ASSERT_TRUE(r_orig.ok());
     ASSERT_TRUE(r_loaded.ok());
     EXPECT_DOUBLE_EQ(r_orig->estimate, r_loaded->estimate);

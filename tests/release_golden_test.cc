@@ -61,7 +61,8 @@ std::string GoldenEstimates(const std::string& dir, size_t threads) {
   };
   std::ostringstream out;
   auto emit = [&](const char* name, const char* sql) {
-    QueryResult r = *ExecuteSql(table, sql, options);
+    QueryResult r =
+        ExecuteSqlQuery(table, sql, options)->rows.front().result;
     out << name << " " << HexBits(r.estimate) << " " << HexBits(r.ci.lo)
         << " " << HexBits(r.ci.hi) << "\n";
   };

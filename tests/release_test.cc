@@ -172,14 +172,15 @@ TEST_F(ReleaseTest, OpenReleaseProducesQueryablePrivateTable) {
   PrivateTable pt = *OpenRelease(dir_);
   EXPECT_EQ(pt.size(), 200u);
   Predicate pred = Predicate::Equals("major", "EECS");
-  QueryResult r = *pt.Count(pred);
+  QueryResult r = *pt.Execute(AggregateQuery::Count(pred));
   EXPECT_DOUBLE_EQ(r.p, 0.2);
   EXPECT_DOUBLE_EQ(r.n, 5.0);  // 4 majors + null.
   // Estimates agree with a PrivateTable built in-process from the same
   // private relation and metadata.
   PrivateTable direct = *PrivateTable::FromPrivateRelation(
       grr.table.Clone(), grr.metadata);
-  EXPECT_DOUBLE_EQ(r.estimate, direct.Count(pred)->estimate);
+  EXPECT_DOUBLE_EQ(r.estimate,
+                   direct.Execute(AggregateQuery::Count(pred))->estimate);
 }
 
 TEST_F(ReleaseTest, LoadedTableSupportsCleaning) {
@@ -189,7 +190,8 @@ TEST_F(ReleaseTest, LoadedTableSupportsCleaning) {
   ASSERT_TRUE(pt.Clean(FindReplace::Single("major", Value("Math, Applied"),
                                            Value("Math")))
                   .ok());
-  QueryResult r = *pt.Count(Predicate::Equals("major", "Math"));
+  QueryResult r =
+      *pt.Execute(AggregateQuery::Count(Predicate::Equals("major", "Math")));
   EXPECT_DOUBLE_EQ(r.l, 1.0);  // Pure rename: one dirty parent.
   EXPECT_DOUBLE_EQ(r.n, 5.0);
 }
@@ -657,7 +659,8 @@ TEST_F(ReleaseTest, RoundTripsHlmMechanismIdentity) {
   PrivateTable direct = *PrivateTable::FromPrivateRelation(
       grr.table.Clone(), grr.metadata);
   Predicate pred = Predicate::Equals("major", "EECS");
-  EXPECT_DOUBLE_EQ(pt.Count(pred)->estimate, direct.Count(pred)->estimate);
+  EXPECT_DOUBLE_EQ(pt.Execute(AggregateQuery::Count(pred))->estimate,
+                   direct.Execute(AggregateQuery::Count(pred))->estimate);
 }
 
 TEST_F(ReleaseTest, RoundTripsSamplingMechanismIdentityWithBeta) {
@@ -754,7 +757,7 @@ TEST_F(ReleaseTest, EndToEndProviderAnalystSeparation) {
   }
   // Analyst process: open the release cold and query.
   PrivateTable pt = *OpenRelease(dir_);
-  QueryResult r = *pt.Count(pred);
+  QueryResult r = *pt.Execute(AggregateQuery::Count(pred));
   EXPECT_NEAR(r.estimate, truth, 0.35 * truth);
   EXPECT_TRUE(r.ci.Contains(r.estimate));
 }

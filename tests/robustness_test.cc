@@ -109,7 +109,7 @@ TEST(Int64PipelineTest, RoundedNoiseSumStaysUnbiased) {
     Rng rng(4000 + t);
     PrivateTable pt = *PrivateTable::Create(
         data, GrrParams::Uniform(0.2, 1.0), GrrOptions{}, rng);
-    estimates.Add(pt.Sum("rating", pred)->estimate);
+    estimates.Add(pt.Execute(AggregateQuery::Sum("rating", pred))->estimate);
   }
   double se = std::sqrt(estimates.SampleVariance() / trials);
   EXPECT_NEAR(estimates.Mean(), truth, std::max(4.0 * se, 4.0));
@@ -133,7 +133,7 @@ TEST(AvgCoverageTest, IntervalCoversTruthAtLeastNominally) {
     Rng rng(5000 + t);
     PrivateTable pt = *PrivateTable::Create(
         data, GrrParams::Uniform(0.2, 5.0), GrrOptions{}, rng);
-    auto r = pt.Avg("value", pred);
+    auto r = pt.Execute(AggregateQuery::Avg("value", pred));
     if (!r.ok()) continue;
     ++total;
     if (r->ci.Contains(truth)) ++covered;
@@ -156,8 +156,8 @@ TEST(NegatedPredicateTest, ComplementEstimatesAreConsistent) {
   Rng rng(6001);
   PrivateTable pt = *PrivateTable::Create(
       data, GrrParams::Uniform(0.2, 5.0), GrrOptions{}, rng);
-  QueryResult c = *pt.Count(pred);
-  QueryResult nc = *pt.Count(negated);
+  QueryResult c = *pt.Execute(AggregateQuery::Count(pred));
+  QueryResult nc = *pt.Execute(AggregateQuery::Count(negated));
   // l values complement to N.
   EXPECT_DOUBLE_EQ(c.l + nc.l, c.n);
   // Estimates complement to S (both corrections are linear in the
@@ -180,7 +180,7 @@ TEST(NegatedPredicateTest, UnbiasedOverInstances) {
     Rng rng(7000 + t);
     PrivateTable pt = *PrivateTable::Create(
         data, GrrParams::Uniform(0.3, 5.0), GrrOptions{}, rng);
-    estimates.Add(pt.Count(negated)->estimate);
+    estimates.Add(pt.Execute(AggregateQuery::Count(negated))->estimate);
   }
   double se = std::sqrt(estimates.SampleVariance() / trials);
   EXPECT_NEAR(estimates.Mean(), truth, std::max(4.0 * se, 2.0));

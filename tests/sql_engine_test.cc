@@ -331,6 +331,87 @@ TEST(SqlEngineDeterminismTest, GroupedSqlResultsAreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
+// Direct baseline: one compiled mask, one ExecuteAggregate pass
+// ---------------------------------------------------------------------------
+
+// The shared table, privatized: Direct reads the nominal private values,
+// and the numeric `score` keeps its NULLs (Laplace noise skips them).
+const PrivateTable& SharedPrivateTable() {
+  static const PrivateTable table = [] {
+    Rng rng(20260809);
+    return *PrivateTable::Create(SharedTable(), GrrParams::Uniform(0.2, 1.0),
+                                 GrrOptions{}, rng);
+  }();
+  return table;
+}
+
+Result<QueryResult> DirectScalar(const std::string& sql) {
+  PCLEAN_ASSIGN_OR_RETURN(SqlResultSet rs,
+                          ExecuteSqlQueryDirect(SharedPrivateTable(), sql));
+  return std::move(rs.rows.front().result);
+}
+
+TEST(SqlEngineDirectTest, EquivalentWhereSpellingsGiveIdenticalBits) {
+  // Each group spells one selection several ways: no WHERE, a
+  // single-attribute tautology, a two-attribute conjunction whose second
+  // conjunct keeps every row (age is 18..90). Direct must compile each
+  // to the same mask and answer with the same bits, NULL scores
+  // included.
+  struct Case {
+    const char* aggregate;
+    std::vector<std::string> spellings;
+  } cases[] = {
+      {"avg(score)",
+       {"", " WHERE city IS NULL OR city IS NOT NULL",
+        " WHERE (city IS NULL OR city IS NOT NULL) AND age >= 0"}},
+      {"sum(score)",
+       {"", " WHERE city IS NULL OR city IS NOT NULL",
+        " WHERE (city IS NULL OR city IS NOT NULL) AND age >= 0"}},
+      {"avg(score)",
+       {" WHERE city = 'Boston'", " WHERE city IN ('Boston')",
+        " WHERE city = 'Boston' AND age IS NOT NULL"}},
+      {"sum(score)",
+       {" WHERE city = 'Boston'", " WHERE city IN ('Boston')",
+        " WHERE city = 'Boston' AND age IS NOT NULL"}},
+  };
+  for (const Case& c : cases) {
+    const std::string base =
+        std::string("SELECT ") + c.aggregate + " FROM t";
+    auto first = DirectScalar(base + c.spellings.front());
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    for (const std::string& where : c.spellings) {
+      SCOPED_TRACE(base + where);
+      auto got = DirectScalar(base + where);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->estimate, first->estimate);
+    }
+  }
+}
+
+TEST(SqlEngineDirectTest, AllNullNumericSelectionIsTypedNotZero) {
+  // Every selected score is NULL: a 0 would be silently biased, so
+  // Direct reports what ExecuteAggregate reports.
+  for (const char* sql : {"SELECT avg(score) FROM t WHERE score IS NULL",
+                          "SELECT sum(score) FROM t WHERE score IS NULL"}) {
+    SCOPED_TRACE(sql);
+    auto r = DirectScalar(sql);
+    ASSERT_FALSE(r.ok()) << "answered " << r->estimate;
+    EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  }
+}
+
+TEST(SqlEngineDirectTest, CountDistinctHonoursWhere) {
+  auto r = DirectScalar("SELECT count(DISTINCT city) FROM t WHERE city = "
+                        "'Boston'");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->estimate, 1.0);
+  SqlResultSet rows = *ExecuteSqlQueryDirect(
+      SharedPrivateTable(), "SELECT DISTINCT city FROM t WHERE city = "
+                            "'Boston'");
+  EXPECT_EQ(rows.rows.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
 // Statistical: new SQL forms produce bias-corrected estimates
 // ---------------------------------------------------------------------------
 
@@ -373,13 +454,14 @@ TEST(SqlEngineStatisticalTest, RangeCountIsBiasCorrected) {
 
   // Direct reads the inflated nominal count: p·S·l/N = 0.5·15000·2/6 =
   // 2500 expected redraw mass alone puts it far above 1000.
-  double direct = ExecuteSqlDirect(pt, sql)->estimate;
+  double direct =
+      ExecuteSqlQueryDirect(pt, sql)->rows.front().result.estimate;
   EXPECT_GT(direct, 1.8 * truth);
   // And the SQL route must agree exactly with the native Predicate route:
   // same estimator, same scan, same correction.
   EXPECT_EQ(estimate.estimate,
-            pt.Count(Predicate::Compare("category", CompareOp::kGe,
-                                        Value("c4")))
+            pt.Execute(AggregateQuery::Count(Predicate::Compare(
+                           "category", CompareOp::kGe, Value("c4"))))
                 ->estimate);
 }
 

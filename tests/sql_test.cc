@@ -9,6 +9,22 @@
 namespace privateclean {
 namespace {
 
+// The corrected-mode plan of `sql`. ParseSql is syntax only; the WHERE
+// collapse the predicate assertions below check happens in PlanQuery,
+// and does not depend on the table's contents, so any unnamed table
+// serves.
+QueryPlan Plan(const std::string& sql) {
+  static const PrivateTable table = [] {
+    Schema schema = *Schema::Make({Field::Discrete("x")});
+    TableBuilder b(schema);
+    b.Row({Value("a")});
+    Rng rng(1);
+    return *PrivateTable::Create(*b.Finish(), GrrParams::Uniform(0.1, 1.0),
+                                 GrrOptions{}, rng);
+  }();
+  return PlanQuery(table, *ParseSql(sql), QueryMode::kCorrected);
+}
+
 // --- Parsing: aggregates ---------------------------------------------------
 
 TEST(SqlParseTest, CountForms) {
@@ -86,8 +102,8 @@ TEST(SqlParseTest, CountArgumentComparesValueNotTokenText) {
 // --- Parsing: conditions -----------------------------------------------------
 
 TEST(SqlParseTest, EqualsString) {
-  ParsedSql p =
-      *ParseSql("SELECT count(1) FROM r WHERE major = 'Mech. Eng.'");
+  QueryPlan p =
+      Plan("SELECT count(1) FROM r WHERE major = 'Mech. Eng.'");
   ASSERT_TRUE(p.query.predicate.has_value());
   EXPECT_EQ(p.query.predicate->attribute(), "major");
   EXPECT_TRUE(p.query.predicate->Matches(Value("Mech. Eng.")));
@@ -95,18 +111,18 @@ TEST(SqlParseTest, EqualsString) {
 }
 
 TEST(SqlParseTest, StringEscapes) {
-  ParsedSql p =
-      *ParseSql("SELECT count(1) FROM r WHERE name = 'O''Brien'");
+  QueryPlan p =
+      Plan("SELECT count(1) FROM r WHERE name = 'O''Brien'");
   EXPECT_TRUE(p.query.predicate->Matches(Value("O'Brien")));
 }
 
 TEST(SqlParseTest, NumericLiterals) {
-  ParsedSql p = *ParseSql("SELECT count(1) FROM r WHERE section = 3");
+  QueryPlan p = Plan("SELECT count(1) FROM r WHERE section = 3");
   EXPECT_TRUE(p.query.predicate->Matches(Value(3)));
   EXPECT_FALSE(p.query.predicate->Matches(Value(3.0)));  // Typed equality.
-  ParsedSql q = *ParseSql("SELECT count(1) FROM r WHERE x = 2.5");
+  QueryPlan q = Plan("SELECT count(1) FROM r WHERE x = 2.5");
   EXPECT_TRUE(q.query.predicate->Matches(Value(2.5)));
-  ParsedSql neg = *ParseSql("SELECT count(1) FROM r WHERE x = -7");
+  QueryPlan neg = Plan("SELECT count(1) FROM r WHERE x = -7");
   EXPECT_TRUE(neg.query.predicate->Matches(Value(-7)));
 }
 
@@ -114,7 +130,7 @@ TEST(SqlParseTest, NotEquals) {
   for (const char* sql :
        {"SELECT count(1) FROM r WHERE major != 'EECS'",
         "SELECT count(1) FROM r WHERE major <> 'EECS'"}) {
-    ParsedSql p = *ParseSql(sql);
+    QueryPlan p = Plan(sql);
     EXPECT_FALSE(p.query.predicate->Matches(Value("EECS"))) << sql;
     EXPECT_TRUE(p.query.predicate->Matches(Value("Math"))) << sql;
     EXPECT_TRUE(p.query.predicate->Matches(Value::Null())) << sql;
@@ -122,38 +138,38 @@ TEST(SqlParseTest, NotEquals) {
 }
 
 TEST(SqlParseTest, InList) {
-  ParsedSql p = *ParseSql(
+  QueryPlan p = Plan(
       "SELECT count(1) FROM r WHERE country IN ('FR', 'DE', 'IT')");
   EXPECT_TRUE(p.query.predicate->Matches(Value("DE")));
   EXPECT_FALSE(p.query.predicate->Matches(Value("US")));
 }
 
 TEST(SqlParseTest, InListWithNullAndNumbers) {
-  ParsedSql p =
-      *ParseSql("SELECT count(1) FROM r WHERE x IN (1, 2, NULL)");
+  QueryPlan p =
+      Plan("SELECT count(1) FROM r WHERE x IN (1, 2, NULL)");
   EXPECT_TRUE(p.query.predicate->Matches(Value(1)));
   EXPECT_TRUE(p.query.predicate->Matches(Value::Null()));
   EXPECT_FALSE(p.query.predicate->Matches(Value(3)));
 }
 
 TEST(SqlParseTest, IsNullForms) {
-  ParsedSql is_null =
-      *ParseSql("SELECT count(1) FROM r WHERE id IS NULL");
+  QueryPlan is_null =
+      Plan("SELECT count(1) FROM r WHERE id IS NULL");
   EXPECT_TRUE(is_null.query.predicate->Matches(Value::Null()));
   EXPECT_FALSE(is_null.query.predicate->Matches(Value("x")));
-  ParsedSql not_null =
-      *ParseSql("SELECT count(1) FROM r WHERE id is not null");
+  QueryPlan not_null =
+      Plan("SELECT count(1) FROM r WHERE id is not null");
   EXPECT_FALSE(not_null.query.predicate->Matches(Value::Null()));
   EXPECT_TRUE(not_null.query.predicate->Matches(Value("x")));
 }
 
 TEST(SqlParseTest, EqualsNullLiteral) {
-  ParsedSql p = *ParseSql("SELECT count(1) FROM r WHERE id = NULL");
+  QueryPlan p = Plan("SELECT count(1) FROM r WHERE id = NULL");
   EXPECT_TRUE(p.query.predicate->Matches(Value::Null()));
 }
 
 TEST(SqlParseTest, QuotedIdentifier) {
-  ParsedSql p = *ParseSql(
+  QueryPlan p = Plan(
       "SELECT count(1) FROM r WHERE \"country code\" = 'US'");
   EXPECT_EQ(p.query.predicate->attribute(), "country code");
 }
@@ -161,7 +177,7 @@ TEST(SqlParseTest, QuotedIdentifier) {
 // --- Parsing: conjunctions -----------------------------------------------------
 
 TEST(SqlParseTest, CountWithAnd) {
-  ParsedSql p = *ParseSql(
+  QueryPlan p = Plan(
       "SELECT count(1) FROM r WHERE dept = 'EECS' AND campus = 'North'");
   ASSERT_TRUE(p.conjunct.has_value());
   EXPECT_EQ(p.query.predicate->attribute(), "dept");
@@ -169,29 +185,30 @@ TEST(SqlParseTest, CountWithAnd) {
 }
 
 TEST(SqlParseTest, AndForSumParsesButHasNoPlan) {
-  // Pure syntax accepts the tree; PlanWhere rejects it (the conjunctive
+  // Pure syntax accepts the tree; PlanQuery rejects it (the conjunctive
   // estimator is derived for COUNT only) and execution surfaces that.
-  ParsedSql p = *ParseSql("SELECT sum(x) FROM r WHERE a = '1' AND b = '2'");
+  const char* sql = "SELECT sum(x) FROM r WHERE a = '1' AND b = '2'";
+  ParsedSql p = *ParseSql(sql);
   ASSERT_TRUE(p.where.has_value());
   EXPECT_FALSE(p.query.predicate.has_value());
-  EXPECT_FALSE(p.conjunct.has_value());
-  auto plan = PlanWhere(*p.where, p.query.agg);
-  ASSERT_FALSE(plan.ok());
-  EXPECT_EQ(plan.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(plan.status().message().find("not privately answerable"),
+  QueryPlan plan = Plan(sql);
+  EXPECT_EQ(plan.route, QueryRoute::kRejected);
+  EXPECT_FALSE(plan.conjunct.has_value());
+  EXPECT_EQ(plan.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(plan.status.message().find("not privately answerable"),
             std::string::npos);
 }
 
 TEST(SqlParseTest, AndOnSameAttributeCollapsesToOnePredicate) {
   // Same-attribute conjunctions are single-attribute trees: they
   // collapse to one predicate (here unsatisfiable) instead of erroring.
-  ParsedSql p = *ParseSql(
+  QueryPlan p = Plan(
       "SELECT count(1) FROM r WHERE a = '1' AND a = '2'");
   ASSERT_TRUE(p.query.predicate.has_value());
   EXPECT_FALSE(p.conjunct.has_value());
   EXPECT_FALSE(p.query.predicate->Matches(Value("1")));
   EXPECT_FALSE(p.query.predicate->Matches(Value("2")));
-  ParsedSql range = *ParseSql(
+  QueryPlan range = Plan(
       "SELECT count(1) FROM r WHERE a >= 2 AND a < 5");
   ASSERT_TRUE(range.query.predicate.has_value());
   EXPECT_TRUE(range.query.predicate->Matches(Value(2)));
@@ -235,7 +252,7 @@ TEST(SqlParseTest, ErrorsCarryPosition) {
 // --- Parsing: literal regression suite ------------------------------------------
 
 TEST(SqlParseTest, DoubledQuoteEscapesInsideInList) {
-  ParsedSql p = *ParseSql(
+  QueryPlan p = Plan(
       "SELECT count(1) FROM r WHERE name IN ('O''Brien', '', '''')");
   EXPECT_TRUE(p.query.predicate->Matches(Value("O'Brien")));
   EXPECT_TRUE(p.query.predicate->Matches(Value("")));   // Empty literal.
@@ -247,17 +264,17 @@ TEST(SqlParseTest, DoubledQuoteEscapesInsideInList) {
 TEST(SqlParseTest, SignedAndExponentNumericLiterals) {
   // Leading '+' is grammar-visible but must parse as the unsigned value
   // (std::from_chars would otherwise reject the token text).
-  EXPECT_TRUE(ParseSql("SELECT count(1) FROM r WHERE x = +5")
-                  ->query.predicate->Matches(Value(5)));
-  EXPECT_TRUE(ParseSql("SELECT count(1) FROM r WHERE x = +2.5")
-                  ->query.predicate->Matches(Value(2.5)));
-  EXPECT_TRUE(ParseSql("SELECT count(1) FROM r WHERE x = -1e3")
-                  ->query.predicate->Matches(Value(-1000.0)));
-  EXPECT_TRUE(ParseSql("SELECT count(1) FROM r WHERE x = 2E-2")
-                  ->query.predicate->Matches(Value(0.02)));
-  EXPECT_TRUE(ParseSql("SELECT count(1) FROM r WHERE x = +1e+2")
-                  ->query.predicate->Matches(Value(100.0)));
-  ParsedSql in = *ParseSql(
+  EXPECT_TRUE(Plan("SELECT count(1) FROM r WHERE x = +5")
+                  .query.predicate->Matches(Value(5)));
+  EXPECT_TRUE(Plan("SELECT count(1) FROM r WHERE x = +2.5")
+                  .query.predicate->Matches(Value(2.5)));
+  EXPECT_TRUE(Plan("SELECT count(1) FROM r WHERE x = -1e3")
+                  .query.predicate->Matches(Value(-1000.0)));
+  EXPECT_TRUE(Plan("SELECT count(1) FROM r WHERE x = 2E-2")
+                  .query.predicate->Matches(Value(0.02)));
+  EXPECT_TRUE(Plan("SELECT count(1) FROM r WHERE x = +1e+2")
+                  .query.predicate->Matches(Value(100.0)));
+  QueryPlan in = Plan(
       "SELECT count(1) FROM r WHERE x IN (-3, +4, 1.5e1)");
   EXPECT_TRUE(in.query.predicate->Matches(Value(-3)));
   EXPECT_TRUE(in.query.predicate->Matches(Value(4)));
@@ -280,8 +297,8 @@ TEST(SqlParseTest, MalformedNumericLiteralsArePositionedErrors) {
 }
 
 TEST(SqlParseTest, NotEqualsSpellingsAreEquivalent) {
-  ParsedSql bang = *ParseSql("SELECT count(1) FROM r WHERE x != 3");
-  ParsedSql diamond = *ParseSql("SELECT count(1) FROM r WHERE x <> 3");
+  QueryPlan bang = Plan("SELECT count(1) FROM r WHERE x != 3");
+  QueryPlan diamond = Plan("SELECT count(1) FROM r WHERE x <> 3");
   for (const Value& v : {Value(3), Value(4), Value(3.0), Value::Null()}) {
     EXPECT_EQ(bang.query.predicate->Matches(v),
               diamond.query.predicate->Matches(v));
@@ -294,24 +311,24 @@ TEST(SqlParseTest, NotEqualsSpellingsAreEquivalent) {
 // --- Parsing: comparison operators ------------------------------------------
 
 TEST(SqlParseTest, OrderingComparisons) {
-  ParsedSql le = *ParseSql("SELECT count(1) FROM r WHERE x <= 3");
+  QueryPlan le = Plan("SELECT count(1) FROM r WHERE x <= 3");
   EXPECT_TRUE(le.query.predicate->Matches(Value(3)));
   EXPECT_TRUE(le.query.predicate->Matches(Value(2.5)));  // Promotion.
   EXPECT_FALSE(le.query.predicate->Matches(Value(4)));
   EXPECT_FALSE(le.query.predicate->Matches(Value::Null()));
 
-  ParsedSql gt = *ParseSql("SELECT count(1) FROM r WHERE x > 3");
+  QueryPlan gt = Plan("SELECT count(1) FROM r WHERE x > 3");
   EXPECT_FALSE(gt.query.predicate->Matches(Value(3)));
   EXPECT_TRUE(gt.query.predicate->Matches(Value(3.5)));
   EXPECT_FALSE(gt.query.predicate->Matches(Value("zzz")));  // Mixed types.
 
-  ParsedSql ge = *ParseSql("SELECT count(1) FROM r WHERE s >= 'M'");
+  QueryPlan ge = Plan("SELECT count(1) FROM r WHERE s >= 'M'");
   EXPECT_TRUE(ge.query.predicate->Matches(Value("Math")));
   EXPECT_FALSE(ge.query.predicate->Matches(Value("EECS")));
 }
 
 TEST(SqlParseTest, BooleanTreesOnOneAttributeCollapse) {
-  ParsedSql p = *ParseSql(
+  QueryPlan p = Plan(
       "SELECT count(1) FROM r WHERE NOT (x < 2 OR x > 8)");
   ASSERT_TRUE(p.query.predicate.has_value());
   EXPECT_TRUE(p.query.predicate->Matches(Value(5)));
@@ -323,7 +340,7 @@ TEST(SqlParseTest, BooleanTreesOnOneAttributeCollapse) {
 }
 
 TEST(SqlParseTest, ParenthesizedConjunctionGroupsPlanConjunctive) {
-  ParsedSql p = *ParseSql(
+  QueryPlan p = Plan(
       "SELECT count(1) FROM r WHERE (a >= 2 AND a < 5) AND (b = 'x' OR "
       "b = 'y')");
   ASSERT_TRUE(p.query.predicate.has_value());
@@ -348,10 +365,10 @@ TEST(SqlParseTest, QuotedNameIsNeverAKeywordOrLiteral) {
   EXPECT_NE(r.status().message().find("identifier, not a literal"),
             std::string::npos);
 
-  ParsedSql kw = *ParseSql(
+  QueryPlan kw = Plan(
       "SELECT count(1) FROM r WHERE \"where\" = 'x'");
   EXPECT_EQ(kw.query.predicate->attribute(), "where");
-  ParsedSql null_attr = *ParseSql(
+  QueryPlan null_attr = Plan(
       "SELECT count(1) FROM r WHERE \"null\" IS NULL");
   EXPECT_EQ(null_attr.query.predicate->attribute(), "null");
 }
@@ -556,6 +573,19 @@ TEST(SqlRenderTest, CanonicalFormNormalizes) {
 
 // --- Execution ------------------------------------------------------------------
 
+// The single result row of a scalar query, corrected or Direct.
+Result<QueryResult> CorrectedSqlRow(const PrivateTable& pt,
+                                    const std::string& sql) {
+  PCLEAN_ASSIGN_OR_RETURN(SqlResultSet rs, ExecuteSqlQuery(pt, sql));
+  return std::move(rs.rows.front().result);
+}
+
+Result<QueryResult> DirectSqlRow(const PrivateTable& pt,
+                                 const std::string& sql) {
+  PCLEAN_ASSIGN_OR_RETURN(SqlResultSet rs, ExecuteSqlQueryDirect(pt, sql));
+  return std::move(rs.rows.front().result);
+}
+
 class SqlExecutionTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -582,22 +612,23 @@ class SqlExecutionTest : public ::testing::Test {
 
 TEST_F(SqlExecutionTest, CountMatchesProgrammaticApi) {
   QueryResult via_sql =
-      *ExecuteSql(*pt_, "SELECT count(1) FROM r WHERE dept = 'EECS'");
-  QueryResult via_api = *pt_->Count(Predicate::Equals("dept", "EECS"));
+      *CorrectedSqlRow(*pt_, "SELECT count(1) FROM r WHERE dept = 'EECS'");
+  QueryResult via_api =
+      *pt_->Execute(AggregateQuery::Count(Predicate::Equals("dept", "EECS")));
   EXPECT_DOUBLE_EQ(via_sql.estimate, via_api.estimate);
   EXPECT_DOUBLE_EQ(via_sql.ci.lo, via_api.ci.lo);
 }
 
 TEST_F(SqlExecutionTest, AvgMatchesProgrammaticApi) {
-  QueryResult via_sql = *ExecuteSql(
+  QueryResult via_sql = *CorrectedSqlRow(
       *pt_, "SELECT avg(score) FROM r WHERE dept IN ('EECS', 'Math')");
-  QueryResult via_api = *pt_->Avg(
-      "score", Predicate::In("dept", {Value("EECS"), Value("Math")}));
+  QueryResult via_api = *pt_->Execute(AggregateQuery::Avg(
+      "score", Predicate::In("dept", {Value("EECS"), Value("Math")})));
   EXPECT_DOUBLE_EQ(via_sql.estimate, via_api.estimate);
 }
 
 TEST_F(SqlExecutionTest, ConjunctiveCountDispatch) {
-  QueryResult via_sql = *ExecuteSql(
+  QueryResult via_sql = *CorrectedSqlRow(
       *pt_,
       "SELECT count(1) FROM r WHERE dept = 'EECS' AND campus = 'North'");
   QueryResult via_api = *pt_->CountConjunctive(
@@ -607,7 +638,7 @@ TEST_F(SqlExecutionTest, ConjunctiveCountDispatch) {
 }
 
 TEST_F(SqlExecutionTest, ExtensionAggregateDispatch) {
-  QueryResult median = *ExecuteSql(*pt_, "SELECT median(score) FROM r");
+  QueryResult median = *CorrectedSqlRow(*pt_, "SELECT median(score) FROM r");
   EXPECT_GE(median.estimate, -5.0);
   EXPECT_LE(median.estimate, 15.0);
   EXPECT_DOUBLE_EQ(median.ci.Width(), 0.0);  // Point estimate.
@@ -615,14 +646,14 @@ TEST_F(SqlExecutionTest, ExtensionAggregateDispatch) {
 
 TEST_F(SqlExecutionTest, PercentileDispatch) {
   QueryResult p90 =
-      *ExecuteSql(*pt_, "SELECT percentile(score, 90) FROM r");
+      *CorrectedSqlRow(*pt_, "SELECT percentile(score, 90) FROM r");
   QueryResult p10 =
-      *ExecuteSql(*pt_, "SELECT percentile(score, 10) FROM r");
+      *CorrectedSqlRow(*pt_, "SELECT percentile(score, 10) FROM r");
   EXPECT_GT(p90.estimate, p10.estimate);
 }
 
 TEST_F(SqlExecutionTest, DirectBaseline) {
-  QueryResult direct = *ExecuteSqlDirect(
+  QueryResult direct = *DirectSqlRow(
       *pt_, "SELECT count(1) FROM r WHERE dept = 'EECS'");
   EXPECT_EQ(direct.estimator, EstimatorKind::kDirect);
   QueryResult api = *pt_->ExecuteDirect(
@@ -631,7 +662,7 @@ TEST_F(SqlExecutionTest, DirectBaseline) {
 }
 
 TEST_F(SqlExecutionTest, DirectConjunctiveIsNominal) {
-  QueryResult direct = *ExecuteSqlDirect(
+  QueryResult direct = *DirectSqlRow(
       *pt_,
       "SELECT count(1) FROM r WHERE dept = 'EECS' AND campus = 'North'");
   ConjunctiveScanStats stats = *ScanConjunctive(
@@ -642,12 +673,12 @@ TEST_F(SqlExecutionTest, DirectConjunctiveIsNominal) {
 }
 
 TEST_F(SqlExecutionTest, ParseErrorsPropagate) {
-  EXPECT_FALSE(ExecuteSql(*pt_, "SELECT nope(1) FROM r").ok());
-  EXPECT_FALSE(ExecuteSqlDirect(*pt_, "garbage").ok());
+  EXPECT_FALSE(CorrectedSqlRow(*pt_, "SELECT nope(1) FROM r").ok());
+  EXPECT_FALSE(DirectSqlRow(*pt_, "garbage").ok());
 }
 
 TEST_F(SqlExecutionTest, UnknownAttributeFailsAtExecution) {
-  auto r = ExecuteSql(*pt_, "SELECT count(1) FROM r WHERE nope = 'x'");
+  auto r = CorrectedSqlRow(*pt_, "SELECT count(1) FROM r WHERE nope = 'x'");
   EXPECT_FALSE(r.ok());
 }
 
@@ -655,9 +686,9 @@ TEST_F(SqlExecutionTest, UnknownAttributeFailsAtExecution) {
 
 TEST_F(SqlExecutionTest, RangePredicateRoutesThroughCorrectedCount) {
   QueryResult via_sql =
-      *ExecuteSql(*pt_, "SELECT count(1) FROM r WHERE dept >= 'M'");
-  QueryResult via_api = *pt_->Count(
-      Predicate::Compare("dept", CompareOp::kGe, Value("M")));
+      *CorrectedSqlRow(*pt_, "SELECT count(1) FROM r WHERE dept >= 'M'");
+  QueryResult via_api = *pt_->Execute(AggregateQuery::Count(
+      Predicate::Compare("dept", CompareOp::kGe, Value("M"))));
   EXPECT_DOUBLE_EQ(via_sql.estimate, via_api.estimate);
   EXPECT_DOUBLE_EQ(via_sql.ci.lo, via_api.ci.lo);
   EXPECT_EQ(via_sql.estimator, EstimatorKind::kPrivateClean);
@@ -666,9 +697,9 @@ TEST_F(SqlExecutionTest, RangePredicateRoutesThroughCorrectedCount) {
 TEST_F(SqlExecutionTest, SameAttributeOrTreeEqualsInPredicate) {
   // dept = 'EECS' OR dept = 'Math' collapses to the same M_pred as
   // dept IN ('EECS', 'Math'), so the corrected estimates are identical.
-  QueryResult via_or = *ExecuteSql(
+  QueryResult via_or = *CorrectedSqlRow(
       *pt_, "SELECT count(1) FROM r WHERE dept = 'EECS' OR dept = 'Math'");
-  QueryResult via_in = *ExecuteSql(
+  QueryResult via_in = *CorrectedSqlRow(
       *pt_, "SELECT count(1) FROM r WHERE dept IN ('EECS', 'Math')");
   EXPECT_DOUBLE_EQ(via_or.estimate, via_in.estimate);
   EXPECT_DOUBLE_EQ(via_or.ci.lo, via_in.ci.lo);
@@ -705,7 +736,7 @@ TEST_F(SqlExecutionTest, UnplannableWhereTreesFailTyped) {
         "SELECT sum(score) FROM r WHERE dept = 'EECS' AND campus = 'North'",
         "SELECT count(1) FROM r WHERE dept = 'EECS' AND campus = 'North' "
         "AND score > 1"}) {
-    auto r = ExecuteSql(*pt_, sql);
+    auto r = CorrectedSqlRow(*pt_, sql);
     ASSERT_FALSE(r.ok()) << sql;
     EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition) << sql;
     EXPECT_NE(r.status().message().find("not privately answerable"),
@@ -735,7 +766,7 @@ TEST_F(SqlExecutionTest, NumericAttributePredicateFailsTypedNotNotFound) {
   }
   // The same queries are nominally answerable under the Direct baseline.
   EXPECT_TRUE(
-      ExecuteSqlDirect(*pt_, "SELECT count(1) FROM r WHERE score >= 2.0")
+      DirectSqlRow(*pt_, "SELECT count(1) FROM r WHERE score >= 2.0")
           .ok());
 }
 
@@ -777,18 +808,49 @@ TEST_F(SqlExecutionTest, OrderByAndLimitShapeGroupedRows) {
   }
 }
 
-TEST_F(SqlExecutionTest, ScalarWrapperRejectsGroupedResults) {
-  auto r = ExecuteSql(*pt_, "SELECT count(1) FROM r GROUP BY dept");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().message().find("ExecuteSqlQuery"), std::string::npos);
+TEST_F(SqlExecutionTest, EveryRouteStampsMemoryStats) {
+  // One query per route of the query plan; every result row carries the
+  // relation's memory accounting, stamped where the plan's result is
+  // produced.
+  struct Case {
+    const char* sql;
+    bool direct;
+    size_t bootstrap_replicates;
+  } cases[] = {
+      {"SELECT count(1) FROM r WHERE dept = 'EECS'", false, 0},
+      {"SELECT sum(score) FROM r", false, 0},
+      {"SELECT count(1) FROM r WHERE dept = 'EECS' AND campus = 'North'",
+       false, 0},
+      {"SELECT count(1) FROM r GROUP BY dept", false, 0},
+      {"SELECT median(score) FROM r", false, 0},
+      {"SELECT percentile(score, 90) FROM r", false, 20},
+      {"SELECT avg(score) FROM r WHERE dept = 'EECS'", true, 0},
+      {"SELECT max(score) FROM r WHERE dept = 'EECS' OR campus = 'North'",
+       true, 0},
+      {"SELECT count(1) FROM r WHERE campus = 'North' GROUP BY dept", true,
+       0},
+      {"SELECT DISTINCT dept FROM r", true, 0},
+      {"SELECT COUNT(DISTINCT dept) FROM r", true, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.direct ? "direct " : "corrected ") + c.sql);
+    QueryOptions options;
+    options.bootstrap_replicates = c.bootstrap_replicates;
+    auto rs = c.direct ? ExecuteSqlQueryDirect(*pt_, c.sql)
+                       : ExecuteSqlQuery(*pt_, c.sql, options);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    ASSERT_FALSE(rs->rows.empty());
+    for (const SqlRow& row : rs->rows) {
+      EXPECT_GT(row.result.memory.relation_payload_bytes, 0u);
+    }
+  }
 }
 
 // --- Execution: Direct baseline on the new forms ----------------------------
 
 TEST_F(SqlExecutionTest, DirectAnswersMinMaxNominally) {
-  QueryResult max = *ExecuteSqlDirect(*pt_, "SELECT max(score) FROM r");
-  QueryResult min = *ExecuteSqlDirect(*pt_, "SELECT min(score) FROM r");
+  QueryResult max = *DirectSqlRow(*pt_, "SELECT max(score) FROM r");
+  QueryResult min = *DirectSqlRow(*pt_, "SELECT min(score) FROM r");
   EXPECT_EQ(max.estimator, EstimatorKind::kDirect);
   EXPECT_GT(max.estimate, min.estimate);
   AggregateQuery q;
@@ -798,7 +860,7 @@ TEST_F(SqlExecutionTest, DirectAnswersMinMaxNominally) {
 }
 
 TEST_F(SqlExecutionTest, DirectAnswersMultiAttributeTreesNominally) {
-  QueryResult direct = *ExecuteSqlDirect(
+  QueryResult direct = *DirectSqlRow(
       *pt_,
       "SELECT count(1) FROM r WHERE dept = 'EECS' OR campus = 'North'");
   // Independent reference: a straight row loop over the relation.
@@ -819,7 +881,7 @@ TEST_F(SqlExecutionTest, DirectAnswersDistinctForms) {
   SqlResultSet distinct =
       *ExecuteSqlQueryDirect(*pt_, "SELECT DISTINCT dept FROM r");
   EXPECT_TRUE(distinct.grouped);
-  QueryResult count = *ExecuteSqlDirect(
+  QueryResult count = *DirectSqlRow(
       *pt_, "SELECT COUNT(DISTINCT dept) FROM r");
   EXPECT_DOUBLE_EQ(count.estimate,
                    static_cast<double>(distinct.rows.size()));
