@@ -40,8 +40,14 @@ void BM_RandomizedResponse(benchmark::State& state) {
     state.PauseTiming();
     Column col = *data.ColumnByName("category").ValueOrDie();
     state.ResumeTiming();
+    // Whole column in one shard: intern the domain codes, randomize,
+    // recompute the null count.
+    std::vector<uint32_t> codes = *PrepareDomainCodes(&col, domain);
     benchmark::DoNotOptimize(
-        ApplyRandomizedResponse(&col, domain, 0.1, rng).ok());
+        ApplyRandomizedResponseShard(&col, domain, 0.1, rng, 0, col.size(),
+                                     nullptr, nullptr, codes.data())
+            .ok());
+    col.RecomputeNullCount();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(rows));
@@ -56,7 +62,8 @@ void BM_LaplaceMechanism(benchmark::State& state) {
     state.PauseTiming();
     Column col = *data.ColumnByName("value").ValueOrDie();
     state.ResumeTiming();
-    benchmark::DoNotOptimize(ApplyLaplaceMechanism(&col, 10.0, rng).ok());
+    benchmark::DoNotOptimize(
+        ApplyLaplaceMechanismShard(&col, 10.0, rng, 0, col.size()).ok());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(rows));

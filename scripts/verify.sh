@@ -21,11 +21,13 @@
 #      when plain ctest happens to schedule them benignly;
 #   5. address+UB-sanitizer pass: rebuild with
 #      PCLEAN_SANITIZE=address,undefined and run the `ledger`,
-#      `failpoint`, `fuzz`, and `server` suites — the epsilon-ledger
-#      crash torture, fault-injection torture, byte-corruption fuzzers,
-#      and the server torture (torn frames, hard kills, session
-#      teardown), where torn files and mid-error cleanup paths are most
-#      likely to hide memory bugs.
+#      `failpoint`, `fuzz`, `server`, and `sql` suites — the
+#      epsilon-ledger crash torture, fault-injection torture,
+#      byte-corruption fuzzers, the server torture (torn frames, hard
+#      kills, session teardown), where torn files and mid-error cleanup
+#      paths are most likely to hide memory bugs, and the SQL suite,
+#      where compiled predicate trees borrow column storage and own
+#      copies of Udf closures.
 #
 # Usage: scripts/verify.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 set -euo pipefail
@@ -53,11 +55,11 @@ cmake -B "${TSAN_DIR}" -S . -DPCLEAN_SANITIZE=thread
 cmake --build "${TSAN_DIR}" -j "${JOBS}"
 ctest --test-dir "${TSAN_DIR}" --output-on-failure -j "${JOBS}" -L 'determinism|server'
 
-echo "== ASan+UBSan: build + ctest -L 'ledger|failpoint|fuzz|server' (${ASAN_DIR}) =="
+echo "== ASan+UBSan: build + ctest -L 'ledger|failpoint|fuzz|server|sql' (${ASAN_DIR}) =="
 cmake -B "${ASAN_DIR}" -S . -DPCLEAN_SANITIZE=address,undefined
 cmake --build "${ASAN_DIR}" -j "${JOBS}"
-ctest --test-dir "${ASAN_DIR}" --output-on-failure -j "${JOBS}" -L 'ledger|failpoint|fuzz|server'
+ctest --test-dir "${ASAN_DIR}" --output-on-failure -j "${JOBS}" -L 'ledger|failpoint|fuzz|server|sql'
 
 echo "verify: OK"
-echo "optional: scripts/bench.sh runs the *ParallelScaling benchmarks"
-echo "and writes BENCH_pr3.json (1-thread vs N-thread wall times)."
+echo "optional: python3 perfbench/run.py --workload <ingest|oneshot|served> \\"
+echo "  --seed 7 --seconds 5 runs the end-to-end benchmark (BENCHMARK.json)."

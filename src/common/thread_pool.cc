@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 
 #include "common/check.h"
 
@@ -108,9 +109,9 @@ Status ParallelFor(
     return Status::OK();
   }
 
-  // Exactly `threads` runners drain an atomic shard counter; the caller
-  // is one of them, so progress is guaranteed even when the shared pool
-  // is saturated (runners never block on other tasks).
+  // Up to `threads` runners drain an atomic shard counter; the caller is
+  // one of them, so every shard runs even if no helper is ever dequeued
+  // (a saturated pool, or a pool worker that is itself waiting here).
   std::vector<Status> statuses(shards);
   std::atomic<size_t> next{0};
   std::atomic<bool> failed{false};
@@ -127,24 +128,38 @@ Status ParallelFor(
     }
   };
 
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  size_t pending = threads - 1;
+  // Helpers co-own this state, so one dequeued after the caller returned
+  // still has a live mutex to consult. A helper claims a start slot only
+  // while the loop is open; once the caller closes it, the caller waits
+  // for the helpers that started (they touch `runner`'s stack captures)
+  // and for no others — late ones return without running anything.
+  struct Helpers {
+    std::mutex mu;
+    std::condition_variable done_cv;
+    bool closed = false;
+    size_t running = 0;
+  };
+  auto helpers = std::make_shared<Helpers>();
   for (size_t t = 0; t + 1 < threads; ++t) {
-    ThreadPool::Default()->Schedule([&] {
+    ThreadPool::Default()->Schedule([helpers, &runner] {
+      {
+        std::lock_guard<std::mutex> lock(helpers->mu);
+        if (helpers->closed) return;
+        ++helpers->running;
+      }
       runner();
-      // Notify while holding the lock: the caller cannot return from its
-      // wait (and destroy done_cv, which lives on its stack) until the
-      // lock is released, so the notify always targets a live condvar.
-      std::lock_guard<std::mutex> lock(done_mu);
-      --pending;
-      done_cv.notify_one();
+      {
+        std::lock_guard<std::mutex> lock(helpers->mu);
+        --helpers->running;
+      }
+      helpers->done_cv.notify_all();
     });
   }
   runner();
   {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] { return pending == 0; });
+    std::unique_lock<std::mutex> lock(helpers->mu);
+    helpers->closed = true;
+    helpers->done_cv.wait(lock, [&] { return helpers->running == 0; });
   }
 
   for (size_t s = 0; s < shards; ++s) {

@@ -117,6 +117,11 @@ ShardRange ShardBounds(size_t num_items, size_t num_shards, size_t shard);
 /// shards and the failure with the lowest shard index among those that
 /// ran is returned. Shards already in flight complete. With one thread
 /// (the default) shards run inline in increasing index order.
+///
+/// Never blocks on an idle pool: the caller drains shards itself and then
+/// waits only for helpers a pool worker has already started, so a
+/// saturated pool (every worker busy or blocked) degrades the loop to the
+/// calling thread instead of hanging it.
 Status ParallelFor(
     size_t num_items, size_t num_shards, const ExecutionOptions& options,
     const std::function<Status(size_t shard, size_t begin, size_t end)>& fn);

@@ -10,7 +10,6 @@
 #include "common/arena.h"
 #include "common/random.h"
 #include "common/string_util.h"
-#include "query/vectorized.h"
 
 namespace privateclean {
 
@@ -37,13 +36,10 @@ Status NotAnswerable(const std::string& why) {
 /// The distinct attributes `parsed` reads, sorted.
 std::vector<std::string> ReadAttributes(const ParsedSql& parsed) {
   std::set<std::string> attrs;
-  if (parsed.where.has_value()) {
-    for (std::string& a : SqlExprAttributes(*parsed.where)) {
+  if (parsed.query.predicate.has_value()) {
+    for (std::string& a : parsed.query.predicate->Attributes()) {
       attrs.insert(std::move(a));
     }
-  }
-  if (parsed.query.predicate.has_value()) {
-    attrs.insert(parsed.query.predicate->attribute());
   }
   for (const std::string* a : {&parsed.query.numeric_attribute,
                                &parsed.distinct_attribute, &parsed.group_by}) {
@@ -53,17 +49,13 @@ std::vector<std::string> ReadAttributes(const ParsedSql& parsed) {
 }
 
 /// Corrected routing of a WHERE tree. A tree over one attribute, of any
-/// boolean structure, collapses to one Predicate: subset membership
+/// boolean structure, is the corrected predicate as is: subset membership
 /// M_pred is all the corrected estimators need. A pure conjunction over
 /// exactly two attributes under COUNT splits into the §10 conjunctive
 /// pair. Everything else is not privately answerable.
-Status PlanCorrectedWhere(const SqlExpr& where, QueryPlan* plan) {
-  std::vector<std::string> attrs = SqlExprAttributes(where);
-  if (attrs.size() == 1) {
-    PCLEAN_ASSIGN_OR_RETURN(plan->query.predicate,
-                            CollapseSingleAttribute(where));
-    return Status::OK();
-  }
+Status PlanCorrectedWhere(const Predicate& where, QueryPlan* plan) {
+  std::vector<std::string> attrs = where.Attributes();
+  if (attrs.size() == 1) return Status::OK();
   if (attrs.size() > 2) {
     return NotAnswerable("WHERE references " + std::to_string(attrs.size()) +
                          " attributes (" + JoinAttributes(attrs) +
@@ -75,16 +67,16 @@ Status PlanCorrectedWhere(const SqlExpr& where, QueryPlan* plan) {
         AggregateTypeToString(plan->query.agg) +
         "(...) — the conjunctive estimator is derived for COUNT only");
   }
-  if (where.kind != SqlExpr::Kind::kAnd) {
+  if (where.kind() != Predicate::Kind::kAnd) {
     return NotAnswerable(
         "OR/NOT across attributes " + JoinAttributes(attrs) +
         " — only an AND of two single-attribute condition groups has a "
         "derived estimator (the §10 conjunctive COUNT)");
   }
-  std::vector<SqlExpr> group_a;
-  std::vector<SqlExpr> group_b;
-  for (const SqlExpr& child : where.children) {
-    std::vector<std::string> child_attrs = SqlExprAttributes(child);
+  std::vector<Predicate> group_a;
+  std::vector<Predicate> group_b;
+  for (const Predicate& child : where.children()) {
+    std::vector<std::string> child_attrs = child.Attributes();
     if (child_attrs.size() != 1) {
       return NotAnswerable(
           "an AND operand mixes attributes " + JoinAttributes(child_attrs) +
@@ -94,10 +86,8 @@ Status PlanCorrectedWhere(const SqlExpr& where, QueryPlan* plan) {
     (child_attrs.front() == attrs.front() ? group_a : group_b)
         .push_back(child);
   }
-  PCLEAN_ASSIGN_OR_RETURN(plan->query.predicate,
-                          CollapseSingleAttribute(SqlExpr::MakeAnd(group_a)));
-  PCLEAN_ASSIGN_OR_RETURN(plan->conjunct,
-                          CollapseSingleAttribute(SqlExpr::MakeAnd(group_b)));
+  plan->query.predicate = Predicate::And(std::move(group_a));
+  plan->conjunct = Predicate::And(std::move(group_b));
   return Status::OK();
 }
 
@@ -126,7 +116,7 @@ Status RouteCorrected(const ParsedSql& parsed, QueryPlan* plan) {
         "nominal extreme)");
   }
   if (!parsed.group_by.empty()) {
-    if (parsed.where.has_value()) {
+    if (parsed.query.predicate.has_value()) {
       return NotAnswerable(
           "GROUP BY with WHERE — the per-group correction (§8.3.4) is "
           "derived for whole-relation counts");
@@ -139,8 +129,8 @@ Status RouteCorrected(const ParsedSql& parsed, QueryPlan* plan) {
     plan->route = QueryRoute::kGrouped;
     return Status::OK();
   }
-  if (parsed.where.has_value()) {
-    PCLEAN_RETURN_NOT_OK(PlanCorrectedWhere(*parsed.where, plan));
+  if (parsed.query.predicate.has_value()) {
+    PCLEAN_RETURN_NOT_OK(PlanCorrectedWhere(*parsed.query.predicate, plan));
   }
   plan->route = plan->conjunct.has_value() ? QueryRoute::kConjunctive
                 : IsExtensionAggregate(agg) ? QueryRoute::kExtension
@@ -241,27 +231,15 @@ Result<QueryResult> Extension(const PrivateTable& table,
   return PointResult(value, EstimatorKind::kPrivateClean, table.size());
 }
 
-/// The Direct row filter: the verbatim WHERE tree, a programmatic
-/// predicate, or every row.
-Result<CompiledPredicate> DirectFilter(const Table& relation,
-                                       const QueryPlan& plan) {
-  if (plan.where.has_value()) {
-    return CompiledPredicate::Compile(relation, *plan.where);
-  }
-  if (plan.query.predicate.has_value()) {
-    return CompiledPredicate::Compile(relation, *plan.query.predicate);
-  }
-  return CompiledPredicate::True();
-}
-
 Result<SqlResultSet> DirectGrouped(const PrivateTable& table,
                                    const QueryPlan& plan,
                                    const ExecutionOptions& exec) {
   const Table& relation = table.relation();
-  PCLEAN_ASSIGN_OR_RETURN(CompiledPredicate filter,
-                          DirectFilter(relation, plan));
-  PCLEAN_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,
-                          filter.EvaluateAll(relation.num_rows(), exec));
+  std::vector<uint8_t> mask(relation.num_rows(), 1);
+  if (plan.query.predicate.has_value()) {
+    PCLEAN_ASSIGN_OR_RETURN(mask,
+                            plan.query.predicate->Evaluate(relation, exec));
+  }
   PCLEAN_ASSIGN_OR_RETURN(const Column* col,
                           relation.ColumnByName(plan.group_attribute));
   // Boxed keys: a NULL group is its own bucket, never the empty string.
@@ -309,11 +287,9 @@ Result<SqlResultSet> RunRoute(const PrivateTable& table,
     case QueryRoute::kExtension:
       return Scalar(Extension(table, plan.query, options));
     case QueryRoute::kDirectScalar: {
-      PCLEAN_ASSIGN_OR_RETURN(CompiledPredicate filter,
-                              DirectFilter(table.relation(), plan));
       PCLEAN_ASSIGN_OR_RETURN(
-          double value, ExecuteAggregate(table.relation(), plan.query,
-                                         filter, options.exec));
+          double value,
+          ExecuteAggregate(table.relation(), plan.query, options.exec));
       return Scalar(PointResult(value, EstimatorKind::kDirect, table.size()));
     }
     case QueryRoute::kDirectGrouped:
@@ -365,7 +341,6 @@ QueryPlan PlanQuery(const PrivateTable& table, const ParsedSql& parsed,
                     QueryMode mode) {
   QueryPlan plan;
   plan.query = parsed.query;
-  plan.where = parsed.where;
   plan.group_attribute = parsed.distinct_attribute.empty()
                              ? parsed.group_by
                              : parsed.distinct_attribute;

@@ -34,7 +34,8 @@ enum class QueryMode { kCorrected, kDirect };
 /// How a planned query is answered.
 enum class QueryRoute {
   kRejected,         ///< No estimator answers it; QueryPlan::status says why.
-  kCorrectedScalar,  ///< COUNT/SUM/AVG, one collapsed predicate (§5–§7).
+  kCorrectedScalar,  ///< COUNT/SUM/AVG, one single-attribute predicate
+                     ///< (§5–§7).
   kConjunctive,      ///< COUNT over two single-attribute predicates (§10).
   kGrouped,          ///< Corrected COUNT per group of GROUP BY (§8.3.4).
   kExtension,        ///< MEDIAN/VAR/STD/PERCENTILE, point or bootstrap (§10).
@@ -48,8 +49,9 @@ enum class QueryRoute {
 /// a route from the SQL.
 ///
 /// Corrected routes (PlanQuery with QueryMode::kCorrected):
-///   kCorrectedScalar — any WHERE tree over one attribute collapses to one
-///     Predicate (the estimators only need its matching-value set M_pred);
+///   kCorrectedScalar — any WHERE tree over one attribute is the corrected
+///     predicate as is (the estimators only need its matching-value set
+///     M_pred);
 ///   kConjunctive     — COUNT under an AND of two single-attribute
 ///     condition groups;
 ///   kGrouped         — GROUP BY <attr> on a bare COUNT;
@@ -62,8 +64,8 @@ enum class QueryRoute {
 /// non-COUNT aggregate, WHERE trees over three or more attributes, and
 /// two-attribute trees other than an AND under COUNT.
 ///
-/// Direct routes (QueryMode::kDirect) evaluate the verbatim WHERE tree
-/// as a vectorized mask, so any tree over any attributes is answered:
+/// Direct routes (QueryMode::kDirect) compile the same WHERE tree to a
+/// vectorized mask, so any tree over any attributes is answered:
 ///   kDirectScalar  — every aggregate, MIN/MAX included, through
 ///     ExecuteAggregate (whose NULL semantics apply: COUNT counts rows,
 ///     SUM/AVG/... read non-NULL values, and a selection whose numeric
@@ -82,12 +84,11 @@ struct QueryPlan {
   QueryRoute route = QueryRoute::kRejected;
   Status status;  ///< OK unless kRejected.
 
-  /// Aggregate and argument. Corrected routes: `query.predicate` is the
-  /// collapsed WHERE tree (the first conjunct for kConjunctive). Direct
-  /// routes keep the caller's predicate, if any, and `where` verbatim.
+  /// Aggregate, argument and WHERE tree. kConjunctive splits the tree:
+  /// `query.predicate` holds the first attribute's conditions and
+  /// `conjunct` the second's. Every other route keeps the tree as parsed.
   AggregateQuery query;
   std::optional<Predicate> conjunct;  ///< kConjunctive's second predicate.
-  std::optional<SqlExpr> where;       ///< The WHERE tree as parsed.
 
   /// GROUP BY / DISTINCT / COUNT(DISTINCT) attribute; empty otherwise.
   std::string group_attribute;

@@ -7,13 +7,6 @@
 
 namespace privateclean {
 
-Status ApplyLaplaceMechanism(Column* column, double b, Rng& rng) {
-  if (column == nullptr) {
-    return Status::InvalidArgument("column must not be null");
-  }
-  return ApplyLaplaceMechanismShard(column, b, rng, 0, column->size());
-}
-
 Status ApplyLaplaceMechanismShard(Column* column, double b, Rng& rng,
                                   size_t begin, size_t end) {
   if (column == nullptr) {

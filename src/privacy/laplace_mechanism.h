@@ -19,10 +19,9 @@ namespace privateclean {
 /// estimators rely on.
 ///
 /// Requires b >= 0 (b == 0 is a no-op, meaning no privacy).
-Status ApplyLaplaceMechanism(Column* column, double b, Rng& rng);
-
-/// Row-range kernel of the Laplace mechanism, for sharded execution
-/// (common/thread_pool.h): noises rows [begin, end) drawing from `rng`.
+///
+/// This is the row-range kernel, for sharded execution
+/// (common/thread_pool.h): it noises rows [begin, end) drawing from `rng`.
 /// Kernels over disjoint ranges may run concurrently on one column; the
 /// validity vector is only read, so no null-count fixup is needed.
 Status ApplyLaplaceMechanismShard(Column* column, double b, Rng& rng,

@@ -2,20 +2,6 @@
 
 namespace privateclean {
 
-Status ApplyRandomizedResponse(Column* column, const Domain& domain,
-                               double p, Rng& rng) {
-  if (column == nullptr) {
-    return Status::InvalidArgument("column must not be null");
-  }
-  PCLEAN_ASSIGN_OR_RETURN(std::vector<uint32_t> domain_codes,
-                          PrepareDomainCodes(column, domain));
-  PCLEAN_RETURN_NOT_OK(ApplyRandomizedResponseShard(
-      column, domain, p, rng, 0, column->size(), nullptr, nullptr,
-      domain_codes.empty() ? nullptr : domain_codes.data()));
-  column->RecomputeNullCount();
-  return Status::OK();
-}
-
 Result<std::vector<uint32_t>> PrepareDomainCodes(Column* column,
                                                  const Domain& domain) {
   if (column == nullptr) {

@@ -10,21 +10,6 @@
 
 namespace privateclean {
 
-/// Randomized-response mechanism for a discrete attribute (paper §4.2.1):
-///
-///   r'[d] = r[d]              with probability 1 - p
-///         = U(Domain(d))      with probability p
-///
-/// The replacement is drawn uniformly from `domain` — which must be the
-/// domain of the *original dirty* column, captured before randomization.
-/// Null is a legitimate domain member (spurious/missing values in the
-/// dirty data are part of Domain(d) and participate in randomization).
-///
-/// Requires p in [0, 1] and a non-empty domain. p == 0 leaves the column
-/// untouched (no privacy); p == 1 replaces every value.
-Status ApplyRandomizedResponse(Column* column, const Domain& domain,
-                               double p, Rng& rng);
-
 /// Pre-interns every string domain value into the dictionary of a string
 /// `column` and returns the domain-index -> dictionary-code table (the
 /// null domain member maps to kNullCode). This is the single-writer step
@@ -39,8 +24,20 @@ Status ApplyRandomizedResponse(Column* column, const Domain& domain,
 Result<std::vector<uint32_t>> PrepareDomainCodes(Column* column,
                                                  const Domain& domain);
 
-/// Row-range kernel of randomized response, for sharded execution
-/// (common/thread_pool.h): randomizes rows [begin, end) of `column`
+/// Randomized-response mechanism for a discrete attribute (paper §4.2.1):
+///
+///   r'[d] = r[d]              with probability 1 - p
+///         = U(Domain(d))      with probability p
+///
+/// The replacement is drawn uniformly from `domain` — which must be the
+/// domain of the *original dirty* column, captured before randomization.
+/// Null is a legitimate domain member (spurious/missing values in the
+/// dirty data are part of Domain(d) and participate in randomization).
+/// Requires p in [0, 1] and a non-empty domain. p == 0 leaves the column
+/// untouched (no privacy); p == 1 replaces every value.
+///
+/// This is the row-range kernel, for sharded execution
+/// (common/thread_pool.h): it randomizes rows [begin, end) of `column`
 /// drawing from `rng`. Kernels over disjoint ranges may run concurrently
 /// on one column — writes go through the raw typed storage and skip the
 /// shared null bookkeeping, so the caller must invoke

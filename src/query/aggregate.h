@@ -36,7 +36,9 @@ const char* AggregateTypeToString(AggregateType agg);
 
 /// `SELECT agg(numeric_attribute) FROM t WHERE predicate`.
 ///
-/// `numeric_attribute` is ignored for kCount (SQL `count(1)`). A missing
+/// `numeric_attribute` is ignored for kCount (SQL `count(1)`).
+/// `predicate` is the WHERE tree — parsed by ParseSql or built
+/// programmatically, the same Predicate value either way; a missing
 /// predicate aggregates over the whole relation. `percentile` is only
 /// meaningful for kPercentile.
 struct AggregateQuery {
@@ -73,10 +75,9 @@ Result<double> ExecuteAggregate(const Table& table,
                                 const AggregateQuery& query,
                                 const ExecutionOptions& exec = {});
 
-/// Same, against an already-compiled predicate — how the SQL executors
-/// run multi-attribute WHERE trees (compiled once, no Predicate
-/// collapse). `query.predicate` is ignored; `predicate` supplies the
-/// row mask.
+/// Same, against an already-compiled predicate, for callers that compile
+/// once and aggregate many times. `query.predicate` is ignored;
+/// `predicate` supplies the row mask.
 Result<double> ExecuteAggregate(const Table& table,
                                 const AggregateQuery& query,
                                 const CompiledPredicate& predicate,

@@ -1,5 +1,8 @@
 #include "query/predicate.h"
 
+#include <algorithm>
+
+#include "common/check.h"
 #include "query/vectorized.h"
 
 namespace privateclean {
@@ -64,19 +67,17 @@ bool ComparesTrue(CompareOp op, const Value& v, const Value& bound) {
 }
 
 Predicate Predicate::Equals(std::string attribute, Value value) {
-  Predicate p(std::move(attribute), Mode::kIn);
-  p.values_.insert(std::move(value));
-  return p;
+  return Compare(std::move(attribute), CompareOp::kEq, std::move(value));
 }
 
 Predicate Predicate::In(std::string attribute, std::vector<Value> values) {
-  Predicate p(std::move(attribute), Mode::kIn);
-  for (auto& v : values) p.values_.insert(std::move(v));
+  Predicate p(Kind::kIn, std::move(attribute));
+  p.literals_ = std::move(values);
   return p;
 }
 
 Predicate Predicate::IsNull(std::string attribute) {
-  return Equals(std::move(attribute), Value::Null());
+  return Predicate(Kind::kIsNull, std::move(attribute));
 }
 
 Predicate Predicate::IsNotNull(std::string attribute) {
@@ -84,39 +85,92 @@ Predicate Predicate::IsNotNull(std::string attribute) {
 }
 
 Predicate Predicate::Compare(std::string attribute, CompareOp op, Value bound) {
-  if (op == CompareOp::kEq) {
-    return Equals(std::move(attribute), std::move(bound));
-  }
-  if (op == CompareOp::kNe) {
-    return Equals(std::move(attribute), std::move(bound)).Negate();
-  }
-  Predicate p(std::move(attribute), Mode::kCompare);
-  p.compare_op_ = op;
-  p.compare_bound_ = std::move(bound);
+  Predicate p(Kind::kCompare, std::move(attribute));
+  p.op_ = op;
+  p.literals_.push_back(std::move(bound));
   return p;
 }
 
 Predicate Predicate::Udf(std::string attribute,
                          std::function<bool(const Value&)> fn) {
-  Predicate p(std::move(attribute), Mode::kUdf);
+  Predicate p(Kind::kUdf, std::move(attribute));
   p.fn_ = std::move(fn);
   return p;
 }
 
-Predicate Predicate::Negate() const {
-  Predicate p = *this;
-  p.negated_ = !p.negated_;
+Predicate Predicate::Nary(Kind kind, std::vector<Predicate> children) {
+  PCLEAN_CHECK(!children.empty());
+  if (children.size() == 1) return std::move(children.front());
+  Predicate p(kind, children.front().attribute_);
+  for (Predicate& child : children) {
+    if (child.kind_ == kind) {
+      // Splice same-kind children so associativity never shows in the
+      // tree shape: (a AND b) AND c == a AND b AND c.
+      for (Predicate& grandchild : child.children_) {
+        p.children_.push_back(std::move(grandchild));
+      }
+    } else {
+      p.children_.push_back(std::move(child));
+    }
+  }
   return p;
 }
 
-bool Predicate::MatchesIgnoringNegation(const Value& v) const {
-  if (mode_ == Mode::kIn) return values_.count(v) > 0;
-  if (mode_ == Mode::kCompare) return ComparesTrue(compare_op_, v, compare_bound_);
-  return fn_(v);
+Predicate Predicate::And(std::vector<Predicate> children) {
+  return Nary(Kind::kAnd, std::move(children));
+}
+
+Predicate Predicate::Or(std::vector<Predicate> children) {
+  return Nary(Kind::kOr, std::move(children));
+}
+
+Predicate Predicate::Negate() const {
+  Predicate p(Kind::kNot, attribute_);
+  p.children_.push_back(*this);
+  return p;
+}
+
+namespace {
+
+void CollectAttributes(const Predicate& p, std::vector<std::string>* out) {
+  if (p.children().empty()) {
+    if (std::find(out->begin(), out->end(), p.attribute()) == out->end()) {
+      out->push_back(p.attribute());
+    }
+    return;
+  }
+  for (const Predicate& child : p.children()) CollectAttributes(child, out);
+}
+
+}  // namespace
+
+std::vector<std::string> Predicate::Attributes() const {
+  std::vector<std::string> out;
+  CollectAttributes(*this, &out);
+  return out;
 }
 
 bool Predicate::Matches(const Value& v) const {
-  return MatchesIgnoringNegation(v) != negated_;
+  switch (kind_) {
+    case Kind::kCompare:
+      return ComparesTrue(op_, v, literals_.front());
+    case Kind::kIn:
+      return std::find(literals_.begin(), literals_.end(), v) !=
+             literals_.end();
+    case Kind::kIsNull:
+      return v.is_null();
+    case Kind::kUdf:
+      return fn_(v);
+    case Kind::kAnd:
+      return std::all_of(children_.begin(), children_.end(),
+                         [&](const Predicate& c) { return c.Matches(v); });
+    case Kind::kOr:
+      return std::any_of(children_.begin(), children_.end(),
+                         [&](const Predicate& c) { return c.Matches(v); });
+    case Kind::kNot:
+      return !children_.front().Matches(v);
+  }
+  return false;
 }
 
 Result<std::vector<uint8_t>> Predicate::Evaluate(
@@ -125,10 +179,9 @@ Result<std::vector<uint8_t>> Predicate::Evaluate(
   // dictionary match-table gather, numeric columns typed kernels or a
   // memoized boxed loop) and run batched through the deterministic
   // shards. See query/vectorized.h.
-  PCLEAN_ASSIGN_OR_RETURN(const Column* col, table.ColumnByName(attribute_));
   PCLEAN_ASSIGN_OR_RETURN(CompiledPredicate compiled,
                           CompiledPredicate::Compile(table, *this));
-  return compiled.EvaluateAll(col->size(), exec);
+  return compiled.EvaluateAll(table.num_rows(), exec);
 }
 
 std::vector<Value> Predicate::MatchingValues(const Domain& domain) const {

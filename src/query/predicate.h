@@ -2,9 +2,7 @@
 #define PRIVATECLEAN_QUERY_PREDICATE_H_
 
 #include <functional>
-#include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -14,9 +12,8 @@
 
 namespace privateclean {
 
-/// Comparison operator of a SQL condition. kEq/kNe exist so the parser
-/// can name every operator uniformly; Predicate::Compare normalizes them
-/// to Equals / Equals().Negate().
+/// Comparison operator of a compare leaf: "=", "!=", "<", "<=", ">",
+/// ">=".
 enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
 /// SQL spelling: "=", "!=", "<", "<=", ">", ">=".
@@ -25,97 +22,112 @@ const char* CompareOpToString(CompareOp op);
 /// Whether `v op bound` holds. The ordering operators compare numerics
 /// with int64→double promotion and strings lexicographically; NULL and
 /// mixed string/numeric operands satisfy no ordering operator. kEq/kNe
-/// use Value's typed structural equality (so Value(3) != Value(3.0)),
-/// matching Predicate::Equals.
+/// use Value's typed structural equality (so Value(3) != Value(3.0)), and
+/// `= NULL` matches NULL.
 bool ComparesTrue(CompareOp op, const Value& v, const Value& bound);
 
-/// Predicate over a single discrete attribute (the paper's `cond(d)`,
-/// Section 3.2.2). Every deterministic predicate is equivalent to
-/// membership in a subset of the attribute's distinct values, which is
-/// exactly how the bias analysis uses it: `MatchingValues(domain)` yields
-/// the paper's M_pred, whose size is the distinct-value selectivity l'.
+/// The one predicate form: a boolean tree whose leaves each condition one
+/// attribute — the SQL WHERE clause and the programmatic API build the
+/// same value.
+///
+/// Leaves: compare (`d op literal`), IN (`d IN (literals)`), IS NULL, and
+/// a programmatic Udf. Inner nodes: AND, OR (flattened on construction,
+/// so `(a AND b) AND c` and `a AND b AND c` build the same tree) and NOT.
+/// Logic is two-valued: NULL satisfies only `= NULL`, IS NULL, and the
+/// complements (!=, NOT, IS NOT NULL) of conditions it fails; ordering
+/// comparisons are never satisfied by NULL.
+///
+/// A tree over a single discrete attribute is the paper's `cond(d)`
+/// (Section 3.2.2). Every deterministic predicate is then membership in a
+/// subset of the attribute's distinct values, which is exactly how the
+/// bias analysis uses it: `MatchingValues(domain)` yields M_pred, whose
+/// size is the distinct-value selectivity l'.
 ///
 /// Construction:
 ///   Predicate::Equals("major", "EECS")
 ///   Predicate::In("country", {"FR", "DE", "IT"})
 ///   Predicate::IsNotNull("sensor_id")
 ///   Predicate::Udf("country", [](const Value& v) { return IsEurope(v); })
+///   Predicate::And({Predicate::Compare("age", CompareOp::kGe, 30),
+///                   Predicate::Compare("age", CompareOp::kLt, 60)})
 /// plus `Negate()` for complements (used by the SUM estimator, §5.5).
 class Predicate {
  public:
-  /// d == value. A null `value` matches null entries.
+  enum class Kind { kCompare, kIn, kIsNull, kUdf, kAnd, kOr, kNot };
+
+  /// d = value. A null `value` matches null entries.
   static Predicate Equals(std::string attribute, Value value);
 
   /// d ∈ values.
   static Predicate In(std::string attribute, std::vector<Value> values);
 
-  /// d is null / d is not null.
+  /// d is null / d is not null (the NOT of IsNull).
   static Predicate IsNull(std::string attribute);
   static Predicate IsNotNull(std::string attribute);
 
-  /// d op bound — an ordering comparison (SQL `score >= 3`). NULL never
-  /// satisfies an ordering comparison. kEq and kNe inputs are normalized
-  /// to Equals / Equals().Negate().
+  /// d op bound, e.g. SQL `score >= 3`.
   static Predicate Compare(std::string attribute, CompareOp op, Value bound);
 
   /// Arbitrary deterministic condition. The function must be pure: it is
-  /// evaluated at most once per distinct value per shard, not once per
+  /// evaluated at most once per distinct value per batch, not once per
   /// row, and may be called concurrently from evaluation shards.
   static Predicate Udf(std::string attribute,
                        std::function<bool(const Value&)> fn);
 
-  /// Logical complement of this predicate.
+  /// Conjunction / disjunction of one or more children; a single child
+  /// is returned as is.
+  static Predicate And(std::vector<Predicate> children);
+  static Predicate Or(std::vector<Predicate> children);
+
+  /// Logical complement: a NOT node over this predicate.
   Predicate Negate() const;
 
-  /// The discrete attribute this predicate conditions on.
+  Kind kind() const { return kind_; }
+
+  /// The attribute of a leaf; for an inner node, that of its first leaf.
+  /// The one attribute a single-attribute tree conditions on.
   const std::string& attribute() const { return attribute_; }
 
-  bool negated() const { return negated_; }
+  /// Distinct attributes the tree reads, in first-appearance order.
+  std::vector<std::string> Attributes() const;
 
-  /// Whether a single value satisfies the predicate.
+  /// kCompare: the operator; literals() holds its one bound.
+  CompareOp op() const { return op_; }
+  /// kCompare: exactly one bound; kIn: one or more values.
+  const std::vector<Value>& literals() const { return literals_; }
+  /// kAnd/kOr: two or more children; kNot: one.
+  const std::vector<Predicate>& children() const { return children_; }
+
+  /// Whether a single value satisfies the predicate. Meaningful for
+  /// single-attribute trees: every leaf is tested against `v`.
   bool Matches(const Value& v) const;
 
-  /// Row mask over `table` (1 = predicate true). Rows are sharded per
-  /// `exec` (common/thread_pool.h); the mask is independent of the
-  /// thread count since the predicate is value-deterministic.
+  /// Row mask over `table` (1 = predicate true), compiled per column
+  /// (query/vectorized.h). Rows are sharded per `exec`; the mask is
+  /// identical at every thread count.
   Result<std::vector<uint8_t>> Evaluate(const Table& table,
                                         const ExecutionOptions& exec = {}) const;
 
   /// The subset of `domain` that satisfies the predicate (paper's M_pred).
+  /// Single-attribute trees only, like Matches.
   std::vector<Value> MatchingValues(const Domain& domain) const;
 
   /// Number of rows in `table` satisfying the predicate.
   Result<size_t> CountMatches(const Table& table,
                               const ExecutionOptions& exec = {}) const;
 
-  /// --- Introspection for the vectorized compiler (query/vectorized.h) --
-
-  /// Membership predicate (Equals/In/IsNull): d ∈ membership_values().
-  bool is_membership() const { return mode_ == Mode::kIn; }
-  const std::unordered_set<Value, ValueHash>& membership_values() const {
-    return values_;
-  }
-
-  /// Ordering comparison: d comparison_op() comparison_bound().
-  bool is_comparison() const { return mode_ == Mode::kCompare; }
-  CompareOp comparison_op() const { return compare_op_; }
-  const Value& comparison_bound() const { return compare_bound_; }
-
  private:
-  enum class Mode { kIn, kCompare, kUdf };
+  Predicate(Kind kind, std::string attribute)
+      : kind_(kind), attribute_(std::move(attribute)) {}
 
-  Predicate(std::string attribute, Mode mode)
-      : attribute_(std::move(attribute)), mode_(mode) {}
+  static Predicate Nary(Kind kind, std::vector<Predicate> children);
 
-  bool MatchesIgnoringNegation(const Value& v) const;
-
+  Kind kind_;
   std::string attribute_;
-  Mode mode_;
-  bool negated_ = false;
-  std::unordered_set<Value, ValueHash> values_;
-  CompareOp compare_op_ = CompareOp::kEq;
-  Value compare_bound_;
+  CompareOp op_ = CompareOp::kEq;
+  std::vector<Value> literals_;
   std::function<bool(const Value&)> fn_;
+  std::vector<Predicate> children_;
 };
 
 }  // namespace privateclean

@@ -217,8 +217,7 @@ class Parser {
     PCLEAN_RETURN_NOT_OK(ExpectKeyword("FROM"));
     PCLEAN_ASSIGN_OR_RETURN(out.table_name, ExpectIdentifier("table name"));
     if (TryKeyword("WHERE")) {
-      PCLEAN_ASSIGN_OR_RETURN(SqlExpr where, ParseOrExpr());
-      out.where = std::move(where);
+      PCLEAN_ASSIGN_OR_RETURN(out.query.predicate, ParseOrExpr());
     }
     size_t clause_pos = 0;
     if (TryKeywordAt("GROUP", &clause_pos)) {
@@ -497,11 +496,9 @@ class Parser {
     }
   }
 
-  Result<SqlCondition> ParseCondition() {
+  Result<Predicate> ParseCondition() {
     PCLEAN_ASSIGN_OR_RETURN(std::string attribute,
                             ExpectIdentifier("attribute"));
-    SqlCondition cond;
-    cond.attribute = std::move(attribute);
     const Token& t = Peek();
     if (t.kind == TokenKind::kSymbol) {
       std::optional<CompareOp> op;
@@ -514,76 +511,73 @@ class Parser {
       if (op.has_value()) {
         Advance();
         PCLEAN_ASSIGN_OR_RETURN(Value literal, ParseLiteral());
-        cond.kind = SqlCondition::Kind::kCompare;
-        cond.op = *op;
-        cond.literals.push_back(std::move(literal));
-        return cond;
+        return Predicate::Compare(std::move(attribute), *op,
+                                  std::move(literal));
       }
     }
     if (TryKeyword("IN")) {
       PCLEAN_RETURN_NOT_OK(ExpectSymbol("("));
+      std::vector<Value> literals;
       for (;;) {
         PCLEAN_ASSIGN_OR_RETURN(Value literal, ParseLiteral());
-        cond.literals.push_back(std::move(literal));
+        literals.push_back(std::move(literal));
         if (TrySymbol(",")) continue;
         break;
       }
       PCLEAN_RETURN_NOT_OK(ExpectSymbol(")"));
-      cond.kind = SqlCondition::Kind::kIn;
-      return cond;
+      return Predicate::In(std::move(attribute), std::move(literals));
     }
     if (TryKeyword("IS")) {
-      cond.is_not_null = TryKeyword("NOT");
+      const bool not_null = TryKeyword("NOT");
       if (!TryKeyword("NULL")) {
         return Err("expected NULL after IS [NOT]");
       }
-      cond.kind = SqlCondition::Kind::kIsNull;
-      return cond;
+      return not_null ? Predicate::IsNotNull(std::move(attribute))
+                      : Predicate::IsNull(std::move(attribute));
     }
     return Err("expected =, !=, <>, <, <=, >, >=, IN, or IS after "
-               "attribute '" + cond.attribute + "'");
+               "attribute '" + attribute + "'");
   }
 
   // Predicate expression grammar, loosest-binding first:
   //   or    := and (OR and)*
   //   and   := unary (AND unary)*
   //   unary := NOT unary | ( or ) | condition
-  Result<SqlExpr> ParseOrExpr() {
-    PCLEAN_ASSIGN_OR_RETURN(SqlExpr first, ParseAndExpr());
+  Result<Predicate> ParseOrExpr() {
+    PCLEAN_ASSIGN_OR_RETURN(Predicate first, ParseAndExpr());
     if (!TryKeyword("OR")) return first;
-    std::vector<SqlExpr> children;
+    std::vector<Predicate> children;
     children.push_back(std::move(first));
     do {
-      PCLEAN_ASSIGN_OR_RETURN(SqlExpr next, ParseAndExpr());
+      PCLEAN_ASSIGN_OR_RETURN(Predicate next, ParseAndExpr());
       children.push_back(std::move(next));
     } while (TryKeyword("OR"));
-    return SqlExpr::MakeOr(std::move(children));
+    return Predicate::Or(std::move(children));
   }
 
-  Result<SqlExpr> ParseAndExpr() {
-    PCLEAN_ASSIGN_OR_RETURN(SqlExpr first, ParseUnaryExpr());
+  Result<Predicate> ParseAndExpr() {
+    PCLEAN_ASSIGN_OR_RETURN(Predicate first, ParseUnaryExpr());
     if (!TryKeyword("AND")) return first;
-    std::vector<SqlExpr> children;
+    std::vector<Predicate> children;
     children.push_back(std::move(first));
     do {
-      PCLEAN_ASSIGN_OR_RETURN(SqlExpr next, ParseUnaryExpr());
+      PCLEAN_ASSIGN_OR_RETURN(Predicate next, ParseUnaryExpr());
       children.push_back(std::move(next));
     } while (TryKeyword("AND"));
-    return SqlExpr::MakeAnd(std::move(children));
+    return Predicate::And(std::move(children));
   }
 
-  Result<SqlExpr> ParseUnaryExpr() {
+  Result<Predicate> ParseUnaryExpr() {
     if (TryKeyword("NOT")) {
-      PCLEAN_ASSIGN_OR_RETURN(SqlExpr inner, ParseUnaryExpr());
-      return SqlExpr::Not(std::move(inner));
+      PCLEAN_ASSIGN_OR_RETURN(Predicate inner, ParseUnaryExpr());
+      return inner.Negate();
     }
     if (TrySymbol("(")) {
-      PCLEAN_ASSIGN_OR_RETURN(SqlExpr inner, ParseOrExpr());
+      PCLEAN_ASSIGN_OR_RETURN(Predicate inner, ParseOrExpr());
       PCLEAN_RETURN_NOT_OK(ExpectSymbol(")"));
       return inner;
     }
-    PCLEAN_ASSIGN_OR_RETURN(SqlCondition cond, ParseCondition());
-    return SqlExpr::Leaf(std::move(cond));
+    return ParseCondition();
   }
 
   std::vector<Token> tokens_;
@@ -636,72 +630,62 @@ std::string RenderIdentifier(const std::string& name) {
   return out;
 }
 
-int ExprPrecedence(SqlExpr::Kind kind) {
-  switch (kind) {
-    case SqlExpr::Kind::kOr:
-      return 1;
-    case SqlExpr::Kind::kAnd:
-      return 2;
-    case SqlExpr::Kind::kNot:
-      return 3;
-    case SqlExpr::Kind::kCondition:
-      return 4;
-  }
-  return 4;
+bool IsNotNullLeaf(const Predicate& p) {
+  return p.kind() == Predicate::Kind::kNot &&
+         p.children().front().kind() == Predicate::Kind::kIsNull;
 }
 
-std::string RenderExpr(const SqlExpr& expr);
-
-std::string RenderChild(const SqlExpr& child, int parent_precedence) {
-  std::string s = RenderExpr(child);
-  if (ExprPrecedence(child.kind) < parent_precedence) {
-    return "(" + s + ")";
+/// Binding strength: OR < AND < NOT < condition. A NOT over IS NULL
+/// renders as the IS NOT NULL condition.
+int Precedence(const Predicate& p) {
+  switch (p.kind()) {
+    case Predicate::Kind::kOr:
+      return 1;
+    case Predicate::Kind::kAnd:
+      return 2;
+    case Predicate::Kind::kNot:
+      return IsNotNullLeaf(p) ? 4 : 3;
+    default:
+      return 4;
   }
+}
+
+std::string RenderPredicate(const Predicate& p);
+
+std::string RenderChild(const Predicate& child, int parent_precedence) {
+  std::string s = RenderPredicate(child);
+  if (Precedence(child) < parent_precedence) return "(" + s + ")";
   return s;
 }
 
-std::string RenderCondition(const SqlCondition& cond) {
-  std::string out = RenderIdentifier(cond.attribute);
-  switch (cond.kind) {
-    case SqlCondition::Kind::kCompare:
-      out += std::string(" ") + CompareOpToString(cond.op) + " " +
-             RenderSqlLiteral(cond.literals.front());
-      break;
-    case SqlCondition::Kind::kIn: {
-      out += " IN (";
-      for (size_t i = 0; i < cond.literals.size(); ++i) {
+std::string RenderPredicate(const Predicate& p) {
+  const std::string attr = RenderIdentifier(p.attribute());
+  switch (p.kind()) {
+    case Predicate::Kind::kCompare:
+      return attr + " " + CompareOpToString(p.op()) + " " +
+             RenderSqlLiteral(p.literals().front());
+    case Predicate::Kind::kIn: {
+      std::string out = attr + " IN (";
+      for (size_t i = 0; i < p.literals().size(); ++i) {
         if (i > 0) out += ", ";
-        out += RenderSqlLiteral(cond.literals[i]);
+        out += RenderSqlLiteral(p.literals()[i]);
       }
-      out += ")";
-      break;
+      return out + ")";
     }
-    case SqlCondition::Kind::kIsNull:
-      out += cond.is_not_null ? " IS NOT NULL" : " IS NULL";
-      break;
-  }
-  return out;
-}
-
-std::string RenderExpr(const SqlExpr& expr) {
-  switch (expr.kind) {
-    case SqlExpr::Kind::kCondition:
-      return RenderCondition(expr.condition);
-    case SqlExpr::Kind::kNot:
-      return "NOT " + RenderChild(expr.children.front(), 3);
-    case SqlExpr::Kind::kAnd: {
+    case Predicate::Kind::kIsNull:
+      return attr + " IS NULL";
+    case Predicate::Kind::kUdf:
+      return "UDF(" + attr + ")";
+    case Predicate::Kind::kNot:
+      if (IsNotNullLeaf(p)) return attr + " IS NOT NULL";
+      return "NOT " + RenderChild(p.children().front(), 3);
+    case Predicate::Kind::kAnd:
+    case Predicate::Kind::kOr: {
+      const bool is_and = p.kind() == Predicate::Kind::kAnd;
       std::string out;
-      for (size_t i = 0; i < expr.children.size(); ++i) {
-        if (i > 0) out += " AND ";
-        out += RenderChild(expr.children[i], 2);
-      }
-      return out;
-    }
-    case SqlExpr::Kind::kOr: {
-      std::string out;
-      for (size_t i = 0; i < expr.children.size(); ++i) {
-        if (i > 0) out += " OR ";
-        out += RenderChild(expr.children[i], 1);
+      for (size_t i = 0; i < p.children().size(); ++i) {
+        if (i > 0) out += is_and ? " AND " : " OR ";
+        out += RenderChild(p.children()[i], is_and ? 2 : 1);
       }
       return out;
     }
@@ -760,8 +744,8 @@ std::string RenderSql(const ParsedSql& parsed) {
            RenderIdentifier(parsed.query.numeric_attribute) + ")";
   }
   out += " FROM " + RenderIdentifier(parsed.table_name);
-  if (parsed.where.has_value()) {
-    out += " WHERE " + RenderExpr(*parsed.where);
+  if (parsed.query.predicate.has_value()) {
+    out += " WHERE " + RenderPredicate(*parsed.query.predicate);
   }
   if (!parsed.group_by.empty()) {
     out += " GROUP BY " + RenderIdentifier(parsed.group_by);

@@ -8,7 +8,6 @@
 #include "common/result.h"
 #include "query/aggregate.h"
 #include "query/predicate.h"
-#include "query/sql_expr.h"
 
 namespace privateclean {
 
@@ -50,18 +49,15 @@ struct SqlOrderBy {
 ///
 /// ParseSql is syntax only. Which route answers a parsed query — and
 /// whether it is *privately answerable* at all — is decided by
-/// PlanQuery (core/sql_execution.h), which collapses the WHERE tree for
-/// the corrected estimators and rejects forms without one with a typed
-/// FailedPrecondition naming the offending form.
+/// PlanQuery (core/sql_execution.h), which rejects forms without a
+/// bias-corrected estimator with a typed FailedPrecondition naming the
+/// offending form.
 struct ParsedSql {
   std::string table_name;
-  /// Aggregate and argument as parsed. ParseSql never sets
-  /// `query.predicate` (the WHERE tree stays in `where`); programmatic
-  /// callers that already hold a Predicate put it there instead of a
-  /// WHERE tree.
+  /// Aggregate, argument and WHERE: the WHERE tree is parsed straight
+  /// into `query.predicate` (set iff the query has WHERE), the same
+  /// Predicate value a programmatic caller builds.
   AggregateQuery query;
-  /// The full WHERE tree, verbatim (set iff the query has WHERE).
-  std::optional<SqlExpr> where;
 
   /// SELECT DISTINCT <attr> / COUNT(DISTINCT <attr>).
   bool select_distinct = false;
@@ -86,10 +82,12 @@ std::string RenderSqlLiteral(const Value& value);
 
 /// Renders `parsed` back to canonical SQL text. Canonical form:
 /// upper-case keywords, COUNT(1) for both count spellings, `!=` for
-/// `<>`, minimal parentheses, no ASC. ParseSql(RenderSql(p)) re-parses
-/// to an equivalent query, and rendering is a fixed point — the
-/// round-trip property the sql test suite checks for every grammar
-/// production.
+/// `<>`, `x IS NOT NULL` for `NOT x IS NULL`, minimal parentheses, no
+/// ASC. ParseSql(RenderSql(p)) re-parses to an equivalent query, and
+/// rendering is a fixed point — the round-trip property the sql test
+/// suite checks for every grammar production. A programmatic Udf leaf
+/// has no SQL spelling: it renders as `UDF(<attr>)`, which does not
+/// re-parse.
 std::string RenderSql(const ParsedSql& parsed);
 
 }  // namespace privateclean

@@ -6,8 +6,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "query/sql_expr.h"
-
 namespace privateclean {
 
 struct CompiledPredicate::Node {
@@ -26,10 +24,6 @@ struct CompiledPredicate::Node {
 
   Kind kind = Kind::kConst;
   bool const_value = false;
-  /// Complement the kernel's raw result (folds Predicate::negated() for
-  /// the typed numeric kernels; NULL rows fail the raw kernel, so under
-  /// negation they match — same two-valued logic as the boxed path).
-  bool negate = false;
 
   // kStringLookup.
   const uint32_t* codes = nullptr;
@@ -50,7 +44,7 @@ struct CompiledPredicate::Node {
   std::vector<double> double_set;
   bool null_matches = false;
 
-  // kBoxed.
+  // kBoxed: a copy of the Udf leaf, so the node owns its closure.
   const Column* column = nullptr;
   std::optional<Predicate> boxed;
 
@@ -125,12 +119,24 @@ CompiledPredicate CompiledPredicate::True() { return CompiledPredicate(); }
 
 Result<CompiledPredicate> CompiledPredicate::Compile(
     const Table& table, const Predicate& predicate) {
-  PCLEAN_ASSIGN_OR_RETURN(const Column* col,
-                          table.ColumnByName(predicate.attribute()));
+  PCLEAN_ASSIGN_OR_RETURN(std::shared_ptr<Node> root,
+                          CompileNode(table, predicate));
+  return CompiledPredicate(std::move(root));
+}
+
+Result<std::shared_ptr<CompiledPredicate::Node>>
+CompiledPredicate::CompileNode(const Table& table,
+                               const Predicate& predicate) {
+  using PK = Predicate::Kind;
   auto node = std::make_shared<Node>();
-  if (col->type() == ValueType::kString) {
-    // One boxed call per distinct value; negation is baked into the
-    // match table.
+  const std::vector<std::string> attrs = predicate.Attributes();
+  const Column* col = nullptr;
+  if (attrs.size() == 1) {
+    PCLEAN_ASSIGN_OR_RETURN(col, table.ColumnByName(attrs.front()));
+  }
+  if (col != nullptr && col->type() == ValueType::kString) {
+    // The whole single-attribute subtree becomes one match table: one
+    // boxed Matches call per distinct value, then an integer gather.
     const StringDictionary& dict = col->dictionary();
     node->kind = Node::Kind::kStringLookup;
     node->codes = col->codes().data();
@@ -141,32 +147,53 @@ Result<CompiledPredicate> CompiledPredicate::Compile(
           predicate.Matches(Value(std::string(dict.At(c)))) ? 1 : 0;
     }
     node->match[dict.size()] = predicate.Matches(Value::Null()) ? 1 : 0;
-    return CompiledPredicate(std::move(node));
+    return node;
   }
 
+  switch (predicate.kind()) {
+    case PK::kNot:
+    case PK::kAnd:
+    case PK::kOr:
+      node->kind = predicate.kind() == PK::kNot   ? Node::Kind::kNot
+                   : predicate.kind() == PK::kAnd ? Node::Kind::kAnd
+                                                  : Node::Kind::kOr;
+      for (const Predicate& child : predicate.children()) {
+        PCLEAN_ASSIGN_OR_RETURN(std::shared_ptr<Node> compiled,
+                                CompileNode(table, child));
+        node->children.push_back(std::move(compiled));
+      }
+      return node;
+    case PK::kUdf:
+      node->kind = Node::Kind::kBoxed;
+      node->column = col;
+      node->boxed = predicate;
+      return node;
+    default:
+      break;
+  }
+
+  // A typed numeric leaf.
   const bool is_int = col->type() == ValueType::kInt64;
   node->validity = col->validity().data();
-  node->negate = predicate.negated();
-  if (predicate.is_comparison()) {
-    const Value& bound = predicate.comparison_bound();
+  const CompareOp op = predicate.op();
+  if (predicate.kind() == PK::kCompare && op != CompareOp::kEq &&
+      op != CompareOp::kNe) {
+    const Value& bound = predicate.literals().front();
     const ValueType bt = bound.type();
     if (bt != ValueType::kInt64 && bt != ValueType::kDouble) {
       // NULL or string bound: no row of a numeric column has a defined
       // order against it (ComparesTrue is false everywhere).
       node->kind = Node::Kind::kConst;
-      node->const_value = predicate.negated();
-      node->negate = false;
-      return CompiledPredicate(std::move(node));
+      node->const_value = false;
+      return node;
     }
-    node->op = predicate.comparison_op();
+    node->op = op;
     if (is_int) {
+      node->kind = Node::Kind::kIntCompare;
+      node->ints = col->ints().data();
       if (bt == ValueType::kInt64) {
-        node->kind = Node::Kind::kIntCompare;
-        node->ints = col->ints().data();
         node->int_bound = bound.AsInt64();
       } else {
-        node->kind = Node::Kind::kIntCompare;
-        node->ints = col->ints().data();
         node->promote_ints = true;
         node->double_bound = bound.AsDouble();
       }
@@ -177,77 +204,36 @@ Result<CompiledPredicate> CompiledPredicate::Compile(
                                ? static_cast<double>(bound.AsInt64())
                                : bound.AsDouble();
     }
-    return CompiledPredicate(std::move(node));
+    return node;
   }
-  if (predicate.is_membership()) {
-    // Typed structural equality: only literals of the column's own type
-    // (plus NULL) can match.
-    for (const Value& v : predicate.membership_values()) {
-      if (v.is_null()) {
-        node->null_matches = true;
-      } else if (is_int && v.type() == ValueType::kInt64) {
-        node->int_set.push_back(v.AsInt64());
-      } else if (!is_int && v.type() == ValueType::kDouble) {
-        node->double_set.push_back(v.AsDouble());
-      }
-    }
-    if (is_int) {
-      node->kind = Node::Kind::kIntIn;
-      node->ints = col->ints().data();
-    } else {
-      node->kind = Node::Kind::kDoubleIn;
-      node->doubles = col->doubles().data();
-    }
-    return CompiledPredicate(std::move(node));
-  }
-  // UDF over a numeric column: boxed per-row kernel. Matches() includes
-  // the negation, so the node applies none.
-  node->kind = Node::Kind::kBoxed;
-  node->negate = false;
-  node->column = col;
-  node->boxed = predicate;
-  return CompiledPredicate(std::move(node));
-}
 
-Result<CompiledPredicate> CompiledPredicate::Compile(const Table& table,
-                                                     const SqlExpr& expr) {
-  switch (expr.kind) {
-    case SqlExpr::Kind::kCondition:
-      return Compile(table, SqlConditionToPredicate(expr.condition));
-    case SqlExpr::Kind::kNot: {
-      PCLEAN_ASSIGN_OR_RETURN(CompiledPredicate child,
-                              Compile(table, expr.children.front()));
-      auto node = std::make_shared<Node>();
-      node->kind = Node::Kind::kNot;
-      if (child.root_ == nullptr) {
-        node->kind = Node::Kind::kConst;
-        node->const_value = false;
-        return CompiledPredicate(std::move(node));
-      }
-      node->children.push_back(std::move(child.root_));
-      return CompiledPredicate(std::move(node));
-    }
-    case SqlExpr::Kind::kAnd:
-    case SqlExpr::Kind::kOr: {
-      auto node = std::make_shared<Node>();
-      node->kind = expr.kind == SqlExpr::Kind::kAnd ? Node::Kind::kAnd
-                                                    : Node::Kind::kOr;
-      for (const SqlExpr& child_expr : expr.children) {
-        PCLEAN_ASSIGN_OR_RETURN(CompiledPredicate child,
-                                Compile(table, child_expr));
-        if (child.root_ == nullptr) {
-          auto truth = std::make_shared<Node>();
-          truth->kind = Node::Kind::kConst;
-          truth->const_value = true;
-          node->children.push_back(std::move(truth));
-        } else {
-          node->children.push_back(std::move(child.root_));
-        }
-      }
-      return CompiledPredicate(std::move(node));
+  // Membership: IN, = / != (one literal), IS NULL (no literal). Typed
+  // structural equality: only literals of the column's own type (plus
+  // NULL) can match.
+  node->null_matches = predicate.kind() == PK::kIsNull;
+  for (const Value& v : predicate.literals()) {
+    if (v.is_null()) {
+      node->null_matches = true;
+    } else if (is_int && v.type() == ValueType::kInt64) {
+      node->int_set.push_back(v.AsInt64());
+    } else if (!is_int && v.type() == ValueType::kDouble) {
+      node->double_set.push_back(v.AsDouble());
     }
   }
-  return Status::Internal("unhandled SqlExpr kind");
+  if (is_int) {
+    node->kind = Node::Kind::kIntIn;
+    node->ints = col->ints().data();
+  } else {
+    node->kind = Node::Kind::kDoubleIn;
+    node->doubles = col->doubles().data();
+  }
+  if (predicate.kind() == PK::kCompare && op == CompareOp::kNe) {
+    auto complement = std::make_shared<Node>();
+    complement->kind = Node::Kind::kNot;
+    complement->children.push_back(std::move(node));
+    return complement;
+  }
+  return node;
 }
 
 void CompiledPredicate::EvalNode(const Node& node, size_t begin,
@@ -339,9 +325,6 @@ void CompiledPredicate::EvalNode(const Node& node, size_t begin,
       }
       break;
     }
-  }
-  if (node.negate) {
-    for (size_t i = 0; i < count; ++i) mask[i] ^= 1;
   }
 }
 

@@ -13,8 +13,6 @@
 
 namespace privateclean {
 
-struct SqlExpr;
-
 /// Rows per vectorized batch. Batches are the unit of the predicate→
 /// aggregate pipeline: a batch mask lives in a stack buffer (1 KiB), so
 /// an aggregate over S rows never materializes an S-byte mask. The size
@@ -27,30 +25,30 @@ inline constexpr size_t kVectorBatchRows = 1024;
 /// engine behind Predicate::Evaluate, ExecuteAggregate, ScanWithPredicate
 /// and ScanConjunctive.
 ///
-/// Compilation picks a per-column kernel:
-///  - string columns: a code-indexed match table over the dictionary
-///    (one boxed Matches call per *distinct* value; the row kernel is an
-///    integer gather). This covers every predicate form, UDFs included.
-///  - numeric columns: typed comparison / membership loops over the raw
-///    int64/double arrays with the validity vector; UDFs fall back to a
-///    boxed per-row kernel with a per-batch memo.
-///  - SqlExpr trees: AND/OR/NOT combine child masks bytewise.
+/// Compilation walks the Predicate tree:
+///  - a subtree that reads one string column becomes one code-indexed
+///    match table over the dictionary (one boxed Matches call per
+///    *distinct* value; the row kernel is an integer gather). A leaf and
+///    a same-attribute OR/AND/NOT, UDFs included, all cost one gather;
+///  - numeric leaves run typed comparison / membership loops over the
+///    raw int64/double arrays with the validity vector; a Udf leaf falls
+///    back to a boxed per-row kernel with a per-batch memo;
+///  - AND/OR combine child masks bytewise and NOT XORs its child's mask.
 ///
 /// A CompiledPredicate borrows column storage from the table it was
 /// compiled against: the table must outlive it and not be mutated while
-/// it is in use. EvalBatch is const and thread-safe — evaluation shards
-/// call it concurrently on disjoint row ranges.
+/// it is in use. It owns everything else (match tables, literal sets,
+/// copies of Udf leaves), so the Predicate it was compiled from may go
+/// away. EvalBatch is const and thread-safe — evaluation shards call it
+/// concurrently on disjoint row ranges.
 class CompiledPredicate {
  public:
   /// Matches every row (an absent WHERE clause).
   static CompiledPredicate True();
 
+  /// NotFound if the tree reads an attribute `table` lacks.
   static Result<CompiledPredicate> Compile(const Table& table,
                                            const Predicate& predicate);
-  /// Compiles a full WHERE tree (multi-attribute allowed): leaves compile
-  /// per-column, AND/OR/NOT combine masks.
-  static Result<CompiledPredicate> Compile(const Table& table,
-                                           const SqlExpr& expr);
 
   /// Writes the 0/1 match mask of rows [begin, begin+count) into
   /// mask[0..count). `count` must be <= kVectorBatchRows.
@@ -68,6 +66,8 @@ class CompiledPredicate {
   explicit CompiledPredicate(std::shared_ptr<const Node> root)
       : root_(std::move(root)) {}
 
+  static Result<std::shared_ptr<Node>> CompileNode(
+      const Table& table, const Predicate& predicate);
   static void EvalNode(const Node& node, size_t begin, size_t count,
                        uint8_t* mask);
 

@@ -15,6 +15,7 @@
 #include "common/arena.h"
 #include "common/random.h"
 #include "privacy/randomized_response.h"
+#include "randomize_column.h"
 #include "query/predicate.h"
 #include "table/domain.h"
 #include "table/table_builder.h"
@@ -223,7 +224,7 @@ TEST(DictionaryDifferentialTest,
     return all;
   }());
   Rng rng_fast(1234);
-  ASSERT_TRUE(ApplyRandomizedResponse(&fast, domain, 0.35, rng_fast).ok());
+  ASSERT_TRUE(RandomizeColumn(&fast, domain, 0.35, rng_fast).ok());
 
   // Reference: identical draw sequence (one Bernoulli per row, one
   // uniform draw only on replacement), applied through boxed SetValue.

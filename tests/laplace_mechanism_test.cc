@@ -13,7 +13,7 @@ TEST(LaplaceMechanismTest, ZeroScaleIsIdentity) {
   Column c = *Column::Make(ValueType::kDouble);
   c.AppendDouble(1.5);
   c.AppendDouble(-2.5);
-  ASSERT_TRUE(ApplyLaplaceMechanism(&c, 0.0, rng).ok());
+  ASSERT_TRUE(ApplyLaplaceMechanismShard(&c, 0.0, rng, 0, c.size()).ok());
   EXPECT_DOUBLE_EQ(c.DoubleAt(0), 1.5);
   EXPECT_DOUBLE_EQ(c.DoubleAt(1), -2.5);
 }
@@ -24,7 +24,7 @@ TEST(LaplaceMechanismTest, NoiseIsZeroMeanWithCorrectVariance) {
   const int rows = 100000;
   Column c = *Column::Make(ValueType::kDouble);
   for (int i = 0; i < rows; ++i) c.AppendDouble(10.0);
-  ASSERT_TRUE(ApplyLaplaceMechanism(&c, b, rng).ok());
+  ASSERT_TRUE(ApplyLaplaceMechanismShard(&c, b, rng, 0, c.size()).ok());
   RunningMoments m;
   for (int i = 0; i < rows; ++i) m.Add(c.DoubleAt(i));
   EXPECT_NEAR(m.Mean(), 10.0, 0.1);
@@ -36,7 +36,7 @@ TEST(LaplaceMechanismTest, NullsStayNull) {
   Column c = *Column::Make(ValueType::kDouble);
   c.AppendDouble(1.0);
   c.AppendNull();
-  ASSERT_TRUE(ApplyLaplaceMechanism(&c, 5.0, rng).ok());
+  ASSERT_TRUE(ApplyLaplaceMechanismShard(&c, 5.0, rng, 0, c.size()).ok());
   EXPECT_FALSE(c.IsNull(0));
   EXPECT_TRUE(c.IsNull(1));
 }
@@ -46,7 +46,7 @@ TEST(LaplaceMechanismTest, Int64ColumnsRoundNoise) {
   const int rows = 50000;
   Column c = *Column::Make(ValueType::kInt64);
   for (int i = 0; i < rows; ++i) c.AppendInt64(100);
-  ASSERT_TRUE(ApplyLaplaceMechanism(&c, 4.0, rng).ok());
+  ASSERT_TRUE(ApplyLaplaceMechanismShard(&c, 4.0, rng, 0, c.size()).ok());
   RunningMoments m;
   bool changed = false;
   for (int i = 0; i < rows; ++i) {
@@ -62,15 +62,15 @@ TEST(LaplaceMechanismTest, RejectsStringColumn) {
   Rng rng(5);
   Column c = *Column::Make(ValueType::kString);
   c.AppendString("x");
-  EXPECT_TRUE(ApplyLaplaceMechanism(&c, 1.0, rng).IsInvalidArgument());
+  EXPECT_TRUE(ApplyLaplaceMechanismShard(&c, 1.0, rng, 0, c.size()).IsInvalidArgument());
 }
 
 TEST(LaplaceMechanismTest, RejectsNegativeScaleAndNullColumn) {
   Rng rng(6);
   Column c = *Column::Make(ValueType::kDouble);
   c.AppendDouble(1.0);
-  EXPECT_TRUE(ApplyLaplaceMechanism(&c, -1.0, rng).IsInvalidArgument());
-  EXPECT_TRUE(ApplyLaplaceMechanism(nullptr, 1.0, rng).IsInvalidArgument());
+  EXPECT_TRUE(ApplyLaplaceMechanismShard(&c, -1.0, rng, 0, c.size()).IsInvalidArgument());
+  EXPECT_TRUE(ApplyLaplaceMechanismShard(nullptr, 1.0, rng, 0, 0).IsInvalidArgument());
 }
 
 TEST(ColumnSensitivityTest, MaxMinusMin) {

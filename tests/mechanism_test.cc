@@ -20,6 +20,7 @@
 #include "privacy/mechanism.h"
 #include "privacy/privacy_params.h"
 #include "privacy/randomized_response.h"
+#include "randomize_column.h"
 #include "table/column.h"
 #include "table/domain.h"
 
@@ -365,7 +366,7 @@ TEST(MechanismDrawSequenceTest, GrrMatchesLegacyKernelOnStringColumns) {
   {
     Rng rng(99);
     ASSERT_TRUE(
-        ApplyRandomizedResponse(&via_legacy, domain, 0.4, rng).ok());
+        RandomizeColumn(&via_legacy, domain, 0.4, rng).ok());
   }
 
   for (size_t r = 0; r < via_mechanism.size(); ++r) {

@@ -55,8 +55,8 @@ TEST(PredicateTest, NegationInvolutes) {
   EXPECT_EQ(*np.CountMatches(CountriesTable()), 4u);
   Predicate nnp = np.Negate();
   EXPECT_EQ(*nnp.CountMatches(CountriesTable()), 2u);
-  EXPECT_FALSE(p.negated());
-  EXPECT_TRUE(np.negated());
+  EXPECT_EQ(p.kind(), Predicate::Kind::kCompare);
+  EXPECT_EQ(np.kind(), Predicate::Kind::kNot);
 }
 
 TEST(PredicateTest, NegatedMatchesNull) {

@@ -12,6 +12,7 @@
 #include "common/statistics.h"
 #include "privacy/privacy_params.h"
 #include "privacy/randomized_response.h"
+#include "randomize_column.h"
 #include "privacy/size_bound.h"
 #include "table/domain.h"
 
@@ -33,7 +34,7 @@ TEST_P(RrPrivacyTest, EmpiricalLikelihoodRatioRespectsLemma1) {
     Column col = *Column::Make(ValueType::kString);
     col.AppendString("a");
     col.AppendString("b");
-    ASSERT_TRUE(ApplyRandomizedResponse(&col, domain, p, rng).ok());
+    ASSERT_TRUE(RandomizeColumn(&col, domain, p, rng).ok());
     if (col.StringAt(0) == "a") ++obs_a_given_a;
     if (col.StringAt(1) == "a") ++obs_a_given_b;
   }
@@ -95,7 +96,7 @@ TEST_P(TransitionMatrixTest, EmpiricalRatesMatchFormulas) {
                                              (tc.n - tc.l)]
                                .AsString());
   }
-  ASSERT_TRUE(ApplyRandomizedResponse(&col, domain, tc.p, rng).ok());
+  ASSERT_TRUE(RandomizeColumn(&col, domain, tc.p, rng).ok());
 
   int tp = 0, fp = 0, in_count = 0, out_count = 0;
   for (int r = 0; r < rows; ++r) {
@@ -194,7 +195,7 @@ TEST_P(DomainPreservationSweep, EmpiricalRateAtLeastAnalyticBound) {
   for (int t = 0; t < trials; ++t) {
     Column col = *Column::Make(ValueType::kString);
     for (const Value& v : values) ASSERT_TRUE(col.AppendValue(v).ok());
-    ASSERT_TRUE(ApplyRandomizedResponse(&col, domain, pc.p, rng).ok());
+    ASSERT_TRUE(RandomizeColumn(&col, domain, pc.p, rng).ok());
     std::vector<uint8_t> seen(pc.n, 0);
     size_t distinct = 0;
     for (size_t r = 0; r < col.size(); ++r) {

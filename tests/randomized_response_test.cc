@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "common/random.h"
+#include "randomize_column.h"
 
 namespace privateclean {
 namespace {
@@ -22,7 +23,7 @@ TEST(RandomizedResponseTest, ZeroProbabilityIsIdentity) {
   Rng rng(1);
   Column c = MakeColumn({Value("a"), Value("b"), Value("a")});
   Domain d = Domain::FromValues({Value("a"), Value("b")});
-  ASSERT_TRUE(ApplyRandomizedResponse(&c, d, 0.0, rng).ok());
+  ASSERT_TRUE(RandomizeColumn(&c, d, 0.0, rng).ok());
   EXPECT_EQ(c.StringAt(0), "a");
   EXPECT_EQ(c.StringAt(1), "b");
   EXPECT_EQ(c.StringAt(2), "a");
@@ -36,7 +37,7 @@ TEST(RandomizedResponseTest, OutputStaysInDomain) {
   }
   Column c = MakeColumn(values);
   Domain d = Domain::FromValues(values);
-  ASSERT_TRUE(ApplyRandomizedResponse(&c, d, 0.5, rng).ok());
+  ASSERT_TRUE(RandomizeColumn(&c, d, 0.5, rng).ok());
   for (size_t r = 0; r < c.size(); ++r) {
     EXPECT_TRUE(d.Contains(c.ValueAt(r)));
   }
@@ -54,7 +55,7 @@ TEST(RandomizedResponseTest, RetentionRateMatchesTheory) {
   }
   Column c = MakeColumn(values);
   Domain d = Domain::FromValues(values);
-  ASSERT_TRUE(ApplyRandomizedResponse(&c, d, p, rng).ok());
+  ASSERT_TRUE(RandomizeColumn(&c, d, p, rng).ok());
   int kept = 0;
   for (int r = 0; r < rows; ++r) {
     if (c.ValueAt(r) == values[static_cast<size_t>(r)]) ++kept;
@@ -71,7 +72,7 @@ TEST(RandomizedResponseTest, FullRandomizationIsUniform) {
   values[1] = Value("c");
   Column c = MakeColumn(values);
   Domain d = Domain::FromValues(values);  // {always_a, b, c}
-  ASSERT_TRUE(ApplyRandomizedResponse(&c, d, 1.0, rng).ok());
+  ASSERT_TRUE(RandomizeColumn(&c, d, 1.0, rng).ok());
   std::unordered_map<std::string, int> counts;
   for (int r = 0; r < rows; ++r) counts[std::string(c.StringAt(r))]++;
   for (const auto& [value, count] : counts) {
@@ -88,7 +89,7 @@ TEST(RandomizedResponseTest, NullIsAFirstClassDomainValue) {
   }
   Column c = MakeColumn(values);
   Domain d = Domain::FromValues(values);
-  ASSERT_TRUE(ApplyRandomizedResponse(&c, d, 1.0, rng).ok());
+  ASSERT_TRUE(RandomizeColumn(&c, d, 1.0, rng).ok());
   size_t nulls = c.null_count();
   EXPECT_GT(nulls, 800u);  // ~half the rows.
   EXPECT_LT(nulls, 1200u);
@@ -98,13 +99,16 @@ TEST(RandomizedResponseTest, RejectsBadInputs) {
   Rng rng(1);
   Column c = MakeColumn({Value("a")});
   Domain d = Domain::FromValues({Value("a")});
-  EXPECT_TRUE(
-      ApplyRandomizedResponse(nullptr, d, 0.1, rng).IsInvalidArgument());
-  EXPECT_TRUE(ApplyRandomizedResponse(&c, d, -0.1, rng).IsInvalidArgument());
-  EXPECT_TRUE(ApplyRandomizedResponse(&c, d, 1.1, rng).IsInvalidArgument());
+  std::vector<uint32_t> codes = *PrepareDomainCodes(&c, d);
+  auto kernel = [&](Column* column, const Domain& domain, double p) {
+    return ApplyRandomizedResponseShard(column, domain, p, rng, 0, 1, nullptr,
+                                        nullptr, codes.data());
+  };
+  EXPECT_TRUE(kernel(nullptr, d, 0.1).IsInvalidArgument());
+  EXPECT_TRUE(kernel(&c, d, -0.1).IsInvalidArgument());
+  EXPECT_TRUE(kernel(&c, d, 1.1).IsInvalidArgument());
   Domain empty = Domain::FromValues({});
-  EXPECT_TRUE(
-      ApplyRandomizedResponse(&c, empty, 0.1, rng).IsFailedPrecondition());
+  EXPECT_TRUE(kernel(&c, empty, 0.1).IsFailedPrecondition());
 }
 
 TEST(TransitionProbabilitiesTest, Formulas) {
@@ -156,8 +160,8 @@ TEST(RandomizedResponseTest, DeterministicGivenSeed) {
   Domain d = Domain::FromValues(values);
   Column c1 = MakeColumn(values), c2 = MakeColumn(values);
   Rng rng1(42), rng2(42);
-  ASSERT_TRUE(ApplyRandomizedResponse(&c1, d, 0.3, rng1).ok());
-  ASSERT_TRUE(ApplyRandomizedResponse(&c2, d, 0.3, rng2).ok());
+  ASSERT_TRUE(RandomizeColumn(&c1, d, 0.3, rng1).ok());
+  ASSERT_TRUE(RandomizeColumn(&c2, d, 0.3, rng2).ok());
   for (size_t r = 0; r < c1.size(); ++r) {
     EXPECT_EQ(c1.ValueAt(r), c2.ValueAt(r));
   }

@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "privacy/randomized_response.h"
+#include "randomize_column.h"
 #include "table/domain.h"
 
 namespace privateclean {
@@ -135,7 +136,7 @@ TEST(DomainPreservationTest, EmpiricalRateRespectsBound) {
       Status st = c.AppendValue(v);
       ASSERT_TRUE(st.ok());
     }
-    ASSERT_TRUE(ApplyRandomizedResponse(&c, domain, p, rng).ok());
+    ASSERT_TRUE(RandomizeColumn(&c, domain, p, rng).ok());
     std::vector<Value> out;
     for (size_t r = 0; r < c.size(); ++r) out.push_back(c.ValueAt(r));
     if (Domain::FromValues(out).size() == n) ++preserved;

@@ -5,9 +5,9 @@
 // engine underneath is *correct*:
 //   - differential: CompiledPredicate's batched kernels (dictionary
 //     gather, typed numeric loops, mask combination) must agree row for
-//     row with a naive boxed reference that re-evaluates every Predicate
-//     / SqlExpr per row — on a table large enough to cross shard and
-//     batch boundaries, with NULLs in every column.
+//     row with a naive boxed reference that re-walks every Predicate
+//     tree per row — on a table large enough to cross shard and batch
+//     boundaries, with NULLs in every column.
 //   - determinism: masks, aggregates, and grouped SQL results must be
 //     bit-identical at 1, 2 and 8 threads (the batch size is a constant,
 //     never a function of the thread count).
@@ -20,6 +20,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -65,46 +66,69 @@ const Table& SharedTable() {
   return table;
 }
 
-// Naive reference: one boxed Matches call per row, no batching, no
-// dictionary gather, no typed kernels.
-std::vector<uint8_t> ReferenceMask(const Table& table, const Predicate& pred) {
-  const Column& col = **table.ColumnByName(pred.attribute());
-  std::vector<uint8_t> mask(table.num_rows());
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    mask[r] = pred.Matches(col.ValueAt(r)) ? 1 : 0;
-  }
-  return mask;
-}
-
-bool ReferenceExprMatchesRow(const Table& table, const SqlExpr& expr,
-                             size_t row) {
-  switch (expr.kind) {
-    case SqlExpr::Kind::kCondition: {
-      const Column& col = **table.ColumnByName(expr.condition.attribute);
-      return SqlConditionMatches(expr.condition, col.ValueAt(row));
+// Naive reference over the Predicate tree: AND/OR/NOT re-walked per
+// row, each leaf evaluated boxed against the value `value_of` gives for
+// its attribute. Leaf semantics are restated here (ComparesTrue, typed
+// equality, is_null) rather than taken from Predicate::Matches, which
+// builds the kernels' match tables; only a Udf leaf defers to its own
+// function.
+bool ReferenceMatches(
+    const Predicate& pred,
+    const std::function<Value(const std::string&)>& value_of) {
+  const std::vector<Predicate>& children = pred.children();
+  switch (pred.kind()) {
+    case Predicate::Kind::kCompare:
+      return ComparesTrue(pred.op(), value_of(pred.attribute()),
+                          pred.literals().front());
+    case Predicate::Kind::kIn: {
+      const Value v = value_of(pred.attribute());
+      for (const Value& literal : pred.literals()) {
+        if (v == literal) return true;
+      }
+      return false;
     }
-    case SqlExpr::Kind::kNot:
-      return !ReferenceExprMatchesRow(table, expr.children[0], row);
-    case SqlExpr::Kind::kAnd:
-      for (const SqlExpr& child : expr.children) {
-        if (!ReferenceExprMatchesRow(table, child, row)) return false;
+    case Predicate::Kind::kIsNull:
+      return value_of(pred.attribute()).is_null();
+    case Predicate::Kind::kUdf:
+      return pred.Matches(value_of(pred.attribute()));
+    case Predicate::Kind::kNot:
+      return !ReferenceMatches(children.front(), value_of);
+    case Predicate::Kind::kAnd:
+      for (const Predicate& child : children) {
+        if (!ReferenceMatches(child, value_of)) return false;
       }
       return true;
-    case SqlExpr::Kind::kOr:
-      for (const SqlExpr& child : expr.children) {
-        if (ReferenceExprMatchesRow(table, child, row)) return true;
+    case Predicate::Kind::kOr:
+      for (const Predicate& child : children) {
+        if (ReferenceMatches(child, value_of)) return true;
       }
       return false;
   }
   return false;
 }
 
-std::vector<uint8_t> ReferenceMask(const Table& table, const SqlExpr& expr) {
+std::vector<uint8_t> ReferenceMask(const Table& table, const Predicate& pred) {
   std::vector<uint8_t> mask(table.num_rows());
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    mask[r] = ReferenceExprMatchesRow(table, expr, r) ? 1 : 0;
+    auto value_of = [&](const std::string& attr) {
+      return (*table.ColumnByName(attr))->ValueAt(r);
+    };
+    mask[r] = ReferenceMatches(pred, value_of) ? 1 : 0;
   }
   return mask;
+}
+
+// M_pred of a single-attribute tree, by the reference walk.
+std::vector<Value> ReferenceMatchingValues(const Predicate& pred,
+                                           const Domain& domain) {
+  std::vector<Value> out;
+  for (size_t i = 0; i < domain.size(); ++i) {
+    const Value& v = domain.value(i);
+    if (ReferenceMatches(pred, [&](const std::string&) { return v; })) {
+      out.push_back(v);
+    }
+  }
+  return out;
 }
 
 size_t CountMask(const std::vector<uint8_t>& mask) {
@@ -174,11 +198,50 @@ std::vector<std::string> TreeBattery() {
   };
 }
 
-Result<SqlExpr> ParseWhere(const std::string& condition) {
+Result<Predicate> ParseWhere(const std::string& condition) {
   PCLEAN_ASSIGN_OR_RETURN(
       ParsedSql parsed,
       ParseSql("SELECT count(1) FROM t WHERE " + condition));
-  return *parsed.where;
+  return *parsed.query.predicate;
+}
+
+// One tree per compile rule: multi-leaf trees over one string column
+// (one match table) and over one int64 column (typed leaves combined
+// bytewise), and programmatic trees that mix Udf leaves with parsed
+// leaves (boxed numeric kernel, match table, typed leaf).
+struct TreeCase {
+  std::string label;
+  Predicate pred;
+};
+
+std::vector<TreeCase> MergedFormBattery() {
+  std::vector<TreeCase> battery;
+  for (const char* condition :
+       {"city = 'Boston' OR city IS NULL OR city IN ('', 'Austin')",
+        "NOT (city >= 'C' AND city < 'E') AND city != 'Austin'",
+        "city IS NOT NULL AND NOT city IN ('Boston', 'Chicago')",
+        "age >= 30 AND age < 60 AND age != 45",
+        "age IN (20, 30) OR age > 85 OR age <= 18.5",
+        "NOT (age > 40 OR age IS NULL) OR age = 77"}) {
+    battery.push_back({condition, *ParseWhere(condition)});
+  }
+  const Predicate starts_with_b = Predicate::Udf("city", [](const Value& v) {
+    return !v.is_null() && !v.AsString().empty() && v.AsString()[0] == 'B';
+  });
+  const Predicate even_age = Predicate::Udf("age", [](const Value& v) {
+    return !v.is_null() && v.AsInt64() % 2 == 0;
+  });
+  battery.push_back({"UDF(city) OR city = 'Chicago' (one match table)",
+                     Predicate::Or({starts_with_b,
+                                    *ParseWhere("city = 'Chicago'")})});
+  battery.push_back({"UDF(age) AND age < 50 (boxed + typed leaf)",
+                     Predicate::And({even_age, *ParseWhere("age < 50")})});
+  battery.push_back(
+      {"NOT UDF(age) OR (UDF(city) AND score >= 5.0)",
+       Predicate::Or({even_age.Negate(),
+                      Predicate::And({starts_with_b,
+                                      *ParseWhere("score >= 5.0")})})});
+  return battery;
 }
 
 // ---------------------------------------------------------------------------
@@ -219,6 +282,33 @@ TEST(SqlEngineDifferentialTest, WhereTreeMasksMatchRecursiveReference) {
   }
 }
 
+TEST(SqlEngineDifferentialTest, MergedFormTreesMatchOracleAtEveryThreadCount) {
+  // Mask, CountMatches and (for single-attribute trees) MatchingValues of
+  // each tree agree with the reference walk at 1, 2 and 8 threads.
+  const Table& table = SharedTable();
+  for (const TreeCase& c : MergedFormBattery()) {
+    SCOPED_TRACE(c.label);
+    const std::vector<uint8_t> expected = ReferenceMask(table, c.pred);
+    for (size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      ExecutionOptions exec;
+      exec.num_threads = threads;
+      auto mask = c.pred.Evaluate(table, exec);
+      ASSERT_TRUE(mask.ok()) << mask.status().ToString();
+      EXPECT_EQ(*mask, expected) << "mask mismatch (" << CountMask(*mask)
+                                 << " vs " << CountMask(expected) << ")";
+      EXPECT_EQ(*c.pred.CountMatches(table, exec), CountMask(expected));
+    }
+    const std::vector<std::string> attrs = c.pred.Attributes();
+    if (attrs.size() == 1) {
+      const Domain domain =
+          *Domain::FromColumn(table, attrs.front(), /*include_null=*/true);
+      EXPECT_EQ(c.pred.MatchingValues(domain),
+                ReferenceMatchingValues(c.pred, domain));
+    }
+  }
+}
+
 TEST(SqlEngineDifferentialTest, AggregatesMatchBoxedRowLoop) {
   // COUNT and SUM re-derived from the reference mask and boxed getters;
   // the vectorized count must agree exactly, the sum to within FP merge
@@ -227,7 +317,7 @@ TEST(SqlEngineDifferentialTest, AggregatesMatchBoxedRowLoop) {
   const Column& score = **table.ColumnByName("score");
   for (const std::string& condition : TreeBattery()) {
     SCOPED_TRACE("WHERE " + condition);
-    SqlExpr expr = *ParseWhere(condition);
+    Predicate expr = *ParseWhere(condition);
     std::vector<uint8_t> mask = ReferenceMask(table, expr);
     double ref_count = static_cast<double>(CountMask(mask));
     double ref_sum = 0.0;
@@ -466,8 +556,8 @@ TEST(SqlEngineStatisticalTest, RangeCountIsBiasCorrected) {
 }
 
 TEST(SqlEngineStatisticalTest, BooleanTreeCountIsBiasCorrected) {
-  // A NOT(... OR ...) tree over one attribute collapses to a Udf
-  // predicate; the correction still applies because the estimators only
+  // A NOT(... AND ...) tree over one attribute is the corrected
+  // predicate as is; the correction applies because the estimators only
   // need M_pred.
   Table table = SkewedCategoryTable();
   double truth = *ExecuteAggregate(

@@ -9,10 +9,10 @@
 namespace privateclean {
 namespace {
 
-// The corrected-mode plan of `sql`. ParseSql is syntax only; the WHERE
-// collapse the predicate assertions below check happens in PlanQuery,
-// and does not depend on the table's contents, so any unnamed table
-// serves.
+// The corrected-mode plan of `sql`. ParseSql is syntax only (the WHERE
+// tree lands in `query.predicate`); the routing the predicate assertions
+// below check happens in PlanQuery and does not depend on the table's
+// contents, so any unnamed table serves.
 QueryPlan Plan(const std::string& sql) {
   static const PrivateTable table = [] {
     Schema schema = *Schema::Make({Field::Discrete("x")});
@@ -189,8 +189,10 @@ TEST(SqlParseTest, AndForSumParsesButHasNoPlan) {
   // estimator is derived for COUNT only) and execution surfaces that.
   const char* sql = "SELECT sum(x) FROM r WHERE a = '1' AND b = '2'";
   ParsedSql p = *ParseSql(sql);
-  ASSERT_TRUE(p.where.has_value());
-  EXPECT_FALSE(p.query.predicate.has_value());
+  ASSERT_TRUE(p.query.predicate.has_value());
+  EXPECT_EQ(p.query.predicate->kind(), Predicate::Kind::kAnd);
+  EXPECT_EQ(p.query.predicate->Attributes(),
+            (std::vector<std::string>{"a", "b"}));
   QueryPlan plan = Plan(sql);
   EXPECT_EQ(plan.route, QueryRoute::kRejected);
   EXPECT_FALSE(plan.conjunct.has_value());
@@ -205,6 +207,7 @@ TEST(SqlParseTest, AndOnSameAttributeCollapsesToOnePredicate) {
   QueryPlan p = Plan(
       "SELECT count(1) FROM r WHERE a = '1' AND a = '2'");
   ASSERT_TRUE(p.query.predicate.has_value());
+  EXPECT_EQ(p.query.predicate->kind(), Predicate::Kind::kAnd);
   EXPECT_FALSE(p.conjunct.has_value());
   EXPECT_FALSE(p.query.predicate->Matches(Value("1")));
   EXPECT_FALSE(p.query.predicate->Matches(Value("2")));
@@ -565,6 +568,9 @@ TEST(SqlRenderTest, CanonicalFormNormalizes) {
             "SELECT COUNT(1) FROM r");
   EXPECT_EQ(RenderSql(*ParseSql("SELECT count(1) FROM r WHERE x <> 3")),
             "SELECT COUNT(1) FROM r WHERE x != 3");
+  EXPECT_EQ(
+      RenderSql(*ParseSql("SELECT count(1) FROM r WHERE NOT x IS NULL")),
+      "SELECT COUNT(1) FROM r WHERE x IS NOT NULL");
   EXPECT_EQ(
       RenderSql(*ParseSql(
           "SELECT count(1) FROM t GROUP BY g ORDER BY count(*) ASC")),

@@ -1,7 +1,13 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -163,6 +169,78 @@ TEST(ParallelForTest, MoreShardsThanItemsClamps) {
                           });
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(items.load(), 3u);
+}
+
+TEST(ParallelForTest, ReturnsWhileEveryPoolWorkerIsBlocked) {
+  // Park every ThreadPool::Default() worker on a latch, so none of
+  // ParallelFor's helpers can start until the latch opens. The loop must
+  // still finish on the calling thread alone. The call runs on a side
+  // thread under a bounded wait, so a regression fails instead of
+  // hanging the suite.
+  struct Latch {
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t parked = 0;
+    bool open = false;
+  };
+  // Shared with the parked tasks, which may still be waking after the
+  // test body returns.
+  auto latch = std::make_shared<Latch>();
+  // Opens the latch on every exit path so the parked workers, and any
+  // helpers queued behind them, always drain.
+  struct OpenOnExit {
+    std::shared_ptr<Latch> latch;
+    ~OpenOnExit() {
+      {
+        std::lock_guard<std::mutex> lock(latch->mu);
+        latch->open = true;
+      }
+      latch->cv.notify_all();
+    }
+  } open_on_exit{latch};
+
+  ThreadPool* pool = ThreadPool::Default();
+  const size_t workers = pool->num_threads();  // <= hardware_concurrency.
+  for (size_t i = 0; i < workers; ++i) {
+    pool->Schedule([latch] {
+      std::unique_lock<std::mutex> lock(latch->mu);
+      ++latch->parked;
+      latch->cv.notify_all();
+      latch->cv.wait(lock, [&] { return latch->open; });
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(latch->mu);
+    ASSERT_TRUE(latch->cv.wait_for(lock, std::chrono::seconds(30), [&] {
+      return latch->parked == workers;
+    })) << "only " << latch->parked << " of " << workers
+        << " pool workers started";
+  }
+
+  std::atomic<size_t> covered{0};
+  std::promise<Status> promise;
+  std::future<Status> result = promise.get_future();
+  std::thread caller([&] {
+    ExecutionOptions exec;
+    exec.num_threads = 4;
+    promise.set_value(ParallelFor(
+        64, 8, exec, [&](size_t, size_t begin, size_t end) -> Status {
+          covered.fetch_add(end - begin);
+          return Status::OK();
+        }));
+  });
+  const bool returned = result.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  {
+    std::lock_guard<std::mutex> lock(latch->mu);
+    latch->open = true;
+  }
+  latch->cv.notify_all();
+  caller.join();
+  EXPECT_TRUE(returned)
+      << "ParallelFor waited for helpers no pool worker could start";
+  EXPECT_TRUE(result.get().ok());
+  EXPECT_EQ(covered.load(), 64u);
 }
 
 }  // namespace
