@@ -94,14 +94,14 @@ int main() {
 
   // --- Extension aggregates (§10) ---------------------------------------
   AggregateQuery median{AggregateType::kMedian, "enthusiasm", europe, 50.0};
-  auto med = private_table->ExtendedAggregate(median);
+  auto med = private_table->Execute(median);
   AggregateQuery stddev{AggregateType::kStd, "enthusiasm", std::nullopt,
                         50.0};
-  auto sd = private_table->ExtendedAggregate(stddev);
+  auto sd = private_table->Execute(stddev);
   if (med.ok() && sd.ok()) {
     std::printf("\nExtensions: median enthusiasm (Europe) = %.2f, "
                 "noise-corrected std (all) = %.2f\n",
-                *med, *sd);
+                med->estimate, sd->estimate);
   }
   return 0;
 }

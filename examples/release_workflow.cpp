@@ -90,12 +90,16 @@ Status RunAnalyst(const std::string& dir,
               truth_count);
 
   // Corrected GROUP BY over the whole cleaned domain.
-  PCLEAN_ASSIGN_OR_RETURN(auto groups, pt.GroupByCountEstimate("category"));
+  PCLEAN_ASSIGN_OR_RETURN(
+      SqlResultSet groups,
+      ExecuteSqlQuery(pt, "SELECT count(1) FROM r GROUP BY category"));
   std::printf("[analyst]  corrected GROUP BY category: %zu groups, "
               "estimates sum to %.1f\n",
-              groups.size(), [&] {
+              groups.rows.size(), [&] {
                 double total = 0.0;
-                for (const auto& [value, r] : groups) total += r.estimate;
+                for (const SqlRow& row : groups.rows) {
+                  total += row.result.estimate;
+                }
                 return total;
               }());
   return Status::OK();

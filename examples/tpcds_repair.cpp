@@ -92,10 +92,11 @@ int main() {
   // Provenance introspection: the country graph shows the MD merges.
   auto graph = private_table->ProvenanceFor("ca_country");
   if (graph.ok()) {
+    const ProvenanceGraph& g = **graph;
     std::printf("\nProvenance(ca_country): %zu dirty values -> %zu clean "
                 "values, %zu edges, fork-free=%s\n",
-                graph->num_dirty_values(), graph->num_clean_values(),
-                graph->num_edges(), graph->is_fork_free() ? "yes" : "no");
+                g.num_dirty_values(), g.num_clean_values(), g.num_edges(),
+                g.is_fork_free() ? "yes" : "no");
   }
   return 0;
 }

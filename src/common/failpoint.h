@@ -113,8 +113,11 @@ void HitData(const char* site, std::string* data);
 #define PCLEAN_FAILPOINT_DATA(site, buf) \
   ::privateclean::failpoint::HitData((site), (buf))
 #else
+// Compiled out: `detail` is named (never evaluated), so a parameter that
+// only feeds a failpoint is still used.
 #define PCLEAN_FAILPOINT(site, detail) \
   do {                                 \
+    static_cast<void>(sizeof(detail)); \
   } while (false)
 #define PCLEAN_FAILPOINT_DATA(site, buf) \
   do {                                   \

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "cleaning/pipeline.h"
-#include "core/conjunctive.h"
 #include "core/estimators.h"
 #include "core/query_result.h"
 #include "privacy/accountant.h"
@@ -24,17 +23,17 @@ struct QueryOptions {
   /// over-counts; exposed for the Figure 7 ablation.
   bool weighted_cut = true;
   /// Threading (common/thread_pool.h) for every row pass a query runs:
-  /// the predicate scans of Execute/ExecuteDirect/CountConjunctive, the
-  /// GroupByCountEstimate counting pass, ExecuteAggregate's per-row
-  /// loops, provenance graph (re)builds, and the bootstrap replicate
-  /// loop of the §10 extension aggregates. Results are identical at
-  /// every thread count.
+  /// the predicate scans, the group-count pass (GroupByCount),
+  /// ExecuteAggregate's per-row loops, provenance graph (re)builds, and
+  /// the bootstrap replicate loop of the §10 extension aggregates.
+  /// Results are identical at every thread count.
   ExecutionOptions exec;
 
-  /// Extension aggregates (median/percentile/var/std) through the SQL
-  /// front-end: when > 0, wrap the point estimate in a bootstrap
-  /// percentile interval with this many replicates (paper §10); 0 (the
-  /// default) returns the point estimate with a degenerate interval.
+  /// Extension aggregates (median/percentile/var/std): when > 0, wrap
+  /// the point estimate in a bootstrap percentile interval at
+  /// `confidence` with this many replicates (paper §10; at least 10, or
+  /// InvalidArgument); 0 (the default) returns the point estimate with a
+  /// degenerate interval. Other routes ignore it.
   size_t bootstrap_replicates = 0;
 
   /// Seed of the bootstrap resampling stream (only consulted when
@@ -43,24 +42,24 @@ struct QueryOptions {
   uint64_t bootstrap_seed = 0x9E3779B97F4A7C15ULL;
 };
 
-/// The PrivateClean facade: an ε-locally-differentially-private relation
-/// V that the analyst can clean (Extract/Transform/Merge) and query
-/// (sum/count/avg with single-discrete-attribute predicates), with
-/// bias-corrected estimates and CLT confidence intervals.
+/// The PrivateClean private relation: an ε-locally-differentially-private
+/// relation V that the analyst can clean (Extract/Transform/Merge), with
+/// the data and provenance the bias-corrected estimators read.
 ///
 /// Lifecycle (paper Figure 1):
 ///   1. the *provider* calls Create() on the original dirty relation R —
 ///      GRR randomizes it and the original is no longer needed;
 ///   2. the *analyst* applies cleaning operations with Clean();
-///   3. the analyst runs aggregate queries with Execute() (the
-///      PrivateClean estimator) or ExecuteDirect() (the uncorrected
-///      baseline), or SQL through core/sql_execution.h — one query plan
-///      behind all of them.
+///   3. the analyst queries it through the one query plan of
+///      core/sql_execution.h (PlanQuery + ExecutePlan): SQL text with
+///      ExecuteSqlQuery / ExecuteSqlQueryDirect, or an AggregateQuery
+///      with Execute / ExecuteDirect, which only build that plan.
 ///
 /// The table keeps the GRR metadata (p_i, b_i, domains, S) and a
 /// provenance manager that snapshots V at creation, so after any
 /// composition of cleaners it can rebuild the dirty→clean bipartite graph
-/// and re-anchor query selectivity in the dirty domain (paper §6–§7).
+/// and re-anchor query selectivity in the dirty domain (paper §6–§7):
+/// ProvenanceFor and InputsForPredicate are what the query routes read.
 class PrivateTable {
  public:
   /// Privatizes `original` with explicit GRR parameters.
@@ -109,37 +108,20 @@ class PrivateTable {
   /// Applies a whole pipeline, stopping at the first failure.
   Status Clean(const CleaningPipeline& pipeline);
 
-  /// --- PrivateClean estimators (bias-corrected, §5–§7) ----------------
+  /// --- Queries ----------------------------------------------------------
 
-  /// The programmatic front door for sum/count/avg: plans `query` as the
-  /// SQL layer plans its parsed form (core/sql_execution.h, PlanQuery in
-  /// QueryMode::kCorrected) and runs that plan. With a predicate the
-  /// corrected estimators answer; without one the Direct value is
-  /// unbiased (§5.1) and carries a Laplace-noise interval. MIN/MAX are
-  /// not privately answerable; the §10 aggregates are InvalidArgument
-  /// here (use ExtendedAggregate).
+  /// The programmatic front door: plans `query` as the SQL layer plans
+  /// its parsed form (core/sql_execution.h, PlanQuery in
+  /// QueryMode::kCorrected) and runs that plan, so every route answers
+  /// here exactly as it does for SQL — COUNT/SUM/AVG under a
+  /// single-attribute predicate (§5–§7), COUNT under an AND of two
+  /// single-attribute groups (§10 conjunctive), and MEDIAN/VAR/STD/
+  /// PERCENTILE (§10, a bootstrap interval when
+  /// `options.bootstrap_replicates > 0`). MIN/MAX are not privately
+  /// answerable. GROUP BY has no AggregateQuery form: use SQL.
   Result<QueryResult> Execute(
       const AggregateQuery& query,
       const QueryOptions& options = QueryOptions()) const;
-
-  /// COUNT rows satisfying `cond_a AND cond_b`, where the two predicates
-  /// condition on two *different* discrete attributes (§10 SPJ
-  /// extension): the per-attribute correction constants compose via the
-  /// Kronecker product of the transition matrices. Both attributes'
-  /// selectivities are provenance-adjusted, so this works after cleaning.
-  Result<QueryResult> CountConjunctive(
-      const Predicate& cond_a, const Predicate& cond_b,
-      const QueryOptions& options = QueryOptions()) const;
-
-  /// Corrected COUNT for every distinct value of `attribute` in the
-  /// cleaned private relation — the paper's
-  /// `SELECT count(1) FROM R GROUP BY attribute` (§8.3.4), one corrected
-  /// estimate per group, in the clean domain's first-appearance order.
-  Result<std::vector<std::pair<Value, QueryResult>>> GroupByCountEstimate(
-      const std::string& attribute,
-      const QueryOptions& options = QueryOptions()) const;
-
-  /// --- Baselines and extensions ----------------------------------------
 
   /// The Direct estimator (§8.1): the same plan in QueryMode::kDirect —
   /// the nominal aggregate on the cleaned private relation, no
@@ -150,50 +132,23 @@ class PrivateTable {
       const AggregateQuery& query,
       const QueryOptions& options = QueryOptions()) const;
 
-  /// §10 extension aggregates on the private relation: median and
-  /// percentile pass through (Laplace noise has zero median); var/std
-  /// subtract the known noise variance 2b². Predicates are applied
-  /// nominally (no selectivity correction). Caveat: the median
-  /// pass-through is exact only for distributions roughly symmetric
-  /// around their median — on heavily skewed marginals the noised median
-  /// shifts toward the heavy tail.
-  ///
-  /// `query.numeric_attribute` must exist in the relation (typed
-  /// InvalidArgument otherwise). An attribute that exists but carries no
-  /// Laplace noise — b = 0 in the metadata, or a column outside the
-  /// numeric metadata entirely — gets a documented no-op correction
-  /// (b = 0): its nominal value needs no de-noising.
-  ///
-  /// The row pass is sharded per `exec` (common/thread_pool.h).
-  Result<double> ExtendedAggregate(const AggregateQuery& query,
-                                   const ExecutionOptions& exec = {}) const;
-
-  /// §10: confidence intervals for the extension aggregates via the
-  /// bootstrap ("calculating confidence intervals ... require[s] an
-  /// empirical method"). Resamples the private relation's rows with
-  /// replacement `replicates` times and returns the point estimate with
-  /// the percentile interval of the replicate statistics.
-  ///
-  /// Replicates run through the deterministic parallel engine per `exec`:
-  /// one RNG stream is forked per replicate in replicate-index order, and
-  /// replicate values merge in replicate order, so for a fixed seed the
-  /// interval is bit-identical at any thread count. Degenerate resamples
-  /// (e.g. an empty selection under the query's predicate) are dropped;
-  /// the surviving count is reported in `QueryResult::replicates_effective`
-  /// and at least half of `replicates` (rounding up for odd counts) must
-  /// survive or the call fails with FailedPrecondition.
-  Result<QueryResult> BootstrapExtendedAggregate(
-      const AggregateQuery& query, Rng& rng, size_t replicates = 200,
-      double confidence = 0.95, const ExecutionOptions& exec = {}) const;
-
   /// --- Introspection -----------------------------------------------------
 
-  /// Current provenance graph of a discrete attribute.
-  Result<ProvenanceGraph> ProvenanceFor(const std::string& attribute,
-                                        const ExecutionOptions& exec = {}) const;
+  /// The provenance graph of a discrete attribute. Graphs cost O(S) to
+  /// build, so they are built on first use and cached; the pointer stays
+  /// valid until the next Clean(), which invalidates the cache.
+  /// PrivateTable is not thread-safe: concurrent queries on one instance
+  /// would race on this cache (intra-query parallelism via `exec` is fine
+  /// — the scan shards never touch it), so a table shared across threads
+  /// must have its graphs built first.
+  Result<const ProvenanceGraph*> ProvenanceFor(
+      const std::string& attribute, const ExecutionOptions& exec = {}) const;
 
-  /// The deterministic estimator inputs (p, l, N) PrivateClean would use
-  /// for this predicate right now — exposed for tests and diagnostics.
+  /// The deterministic estimator inputs (p, l, N, and b of
+  /// `numeric_attribute` when non-empty) the corrected routes use for
+  /// this single-attribute predicate right now. Typed rejection for a
+  /// predicate on a numeric attribute (no transition matrix) and for one
+  /// not backed by a randomized discrete attribute.
   Result<EstimationInputs> InputsForPredicate(
       const Predicate& predicate, const std::string& numeric_attribute,
       const QueryOptions& options) const;
@@ -206,28 +161,13 @@ class PrivateTable {
 
   /// The selectivity-independent estimator inputs of the discrete
   /// attribute `attr` — mechanism, p, N, confidence — with `*graph` set
-  /// to its cached provenance graph. Callers fill in l for their M_pred.
+  /// to its cached provenance graph (ProvenanceFor). Callers fill in l for
+  /// their M_pred.
   /// Typed rejection for a numeric attribute (no transition matrix) and
   /// for one not backed by a randomized discrete attribute.
   Result<EstimationInputs> BaseInputsFor(const std::string& attr,
                                          const QueryOptions& options,
                                          const ProvenanceGraph** graph) const;
-
-  /// Laplace scale b of `numeric_attribute` for the §10 var/std
-  /// correction. InvalidArgument when the relation has no such attribute
-  /// (a typo would otherwise surface only as a generic scan error);
-  /// 0.0 — a documented no-op correction — when the attribute exists but
-  /// carries no Laplace noise.
-  Result<double> NoiseScaleFor(const std::string& numeric_attribute) const;
-
-  /// Returns the (possibly cached) provenance graph for `attribute`.
-  /// Graphs cost O(S) to build, so they are cached between queries and
-  /// invalidated by Clean(). PrivateTable is not thread-safe: concurrent
-  /// queries on one instance would race on this cache. (Intra-query
-  /// parallelism via QueryOptions::exec is fine — the scan shards never
-  /// touch the cache.)
-  Result<const ProvenanceGraph*> CachedGraphFor(
-      const std::string& attribute, const ExecutionOptions& exec = {}) const;
 
   Table relation_;
   PrivateRelationMetadata metadata_;

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <ostream>
 #include <set>
 #include <utility>
 
 #include "common/arena.h"
 #include "common/random.h"
+#include "common/statistics.h"
 #include "common/string_util.h"
+#include "core/conjunctive.h"
 
 namespace privateclean {
 
@@ -166,6 +167,13 @@ Result<SqlResultSet> Scalar(Result<QueryResult> r) {
   return rs;
 }
 
+/// Laplace scale b of a numeric attribute; 0 — no noise, so no
+/// correction — for an attribute outside the Laplace metadata.
+double NoiseScale(const PrivateTable& table, const std::string& attribute) {
+  auto it = table.metadata().numeric.find(attribute);
+  return it == table.metadata().numeric.end() ? 0.0 : it->second.b;
+}
+
 /// Corrected COUNT/SUM/AVG (§5–§7). Without a predicate the nominal value
 /// is unbiased (§5.1) — GRR noise is zero-mean and randomized response
 /// permutes within the relation — and the interval reflects the Laplace
@@ -197,11 +205,7 @@ Result<QueryResult> CorrectedScalar(const PrivateTable& table,
   QueryResult r = PointResult(nominal, EstimatorKind::kPrivateClean,
                               relation.num_rows());
   r.confidence = options.confidence;
-  double b = 0.0;
-  if (auto it = table.metadata().numeric.find(query.numeric_attribute);
-      it != table.metadata().numeric.end()) {
-    b = it->second.b;
-  }
+  const double b = NoiseScale(table, query.numeric_attribute);
   PCLEAN_ASSIGN_OR_RETURN(double z, ZScoreForConfidence(options.confidence));
   double s = static_cast<double>(relation.num_rows());
   double half = 0.0;
@@ -214,39 +218,209 @@ Result<QueryResult> CorrectedScalar(const PrivateTable& table,
   return r;
 }
 
-/// §10 extension aggregates: the bootstrap replicate loop shards per
-/// options.exec with a replicate-forked RNG stream, so the interval is
-/// identical at every thread count.
+/// §10 conjunctive COUNT over two single-attribute predicates on
+/// different attributes: the per-attribute correction constants compose
+/// via the Kronecker product of the transition matrices, and both
+/// selectivities are provenance-adjusted, so it holds after cleaning.
+Result<QueryResult> Conjunctive(const PrivateTable& table,
+                                const QueryPlan& plan,
+                                const QueryOptions& options) {
+  const Predicate& cond_a = *plan.query.predicate;
+  const Predicate& cond_b = *plan.conjunct;
+  PCLEAN_ASSIGN_OR_RETURN(EstimationInputs in_a,
+                          table.InputsForPredicate(cond_a, "", options));
+  PCLEAN_ASSIGN_OR_RETURN(EstimationInputs in_b,
+                          table.InputsForPredicate(cond_b, "", options));
+  PCLEAN_ASSIGN_OR_RETURN(
+      ConjunctiveScanStats stats,
+      ScanConjunctive(table.relation(), cond_a, cond_b, options.exec));
+  return EstimateConjunctiveCount(stats, in_a, in_b);
+}
+
+/// Corrected COUNT per group of GROUP BY <attr> (§8.3.4): one estimate
+/// per value of the attribute's clean domain, in clean-domain order,
+/// zero-count groups included.
+Result<SqlResultSet> CorrectedGrouped(const PrivateTable& table,
+                                      const std::string& attribute,
+                                      const QueryOptions& options) {
+  // The attribute's p, N and confidence; M_pred = ∅ here, so l = 0 until
+  // each group sets its own.
+  PCLEAN_ASSIGN_OR_RETURN(
+      EstimationInputs base,
+      table.InputsForPredicate(Predicate::In(attribute, {}), "", options));
+  PCLEAN_ASSIGN_OR_RETURN(const ProvenanceGraph* graph,
+                          table.ProvenanceFor(attribute, options.exec));
+  PCLEAN_ASSIGN_OR_RETURN(
+      auto counts, GroupByCount(table.relation(), attribute,
+                                CompiledPredicate::True(), options.exec));
+  const Domain& clean_domain = graph->clean_domain();
+  SqlResultSet rs;
+  rs.grouped = true;
+  rs.rows.reserve(clean_domain.size());
+  for (const Value& key : clean_domain.values()) {
+    EstimationInputs in = base;
+    in.l = options.weighted_cut
+               ? graph->WeightedSelectivity({key})
+               : static_cast<double>(graph->UnweightedSelectivity({key}));
+    QueryScanStats stats;
+    stats.total_rows = table.size();
+    auto it = counts.find(key);
+    stats.matching_rows = it == counts.end() ? 0 : it->second;
+    PCLEAN_ASSIGN_OR_RETURN(QueryResult r, EstimateCount(stats, in));
+    rs.rows.push_back(SqlRow{key, std::move(r)});
+  }
+  return rs;
+}
+
+/// A §10 extension aggregate of `table` with Laplace scale `b`: median
+/// and percentile pass through (Laplace noise has zero median); var/std
+/// subtract the noise variance 2b². Shared by the point estimate and the
+/// bootstrap replicates.
+Result<double> ExtensionOnTable(const Table& table,
+                                const AggregateQuery& query, double b,
+                                const ExecutionOptions& exec) {
+  if (query.agg == AggregateType::kMedian ||
+      query.agg == AggregateType::kPercentile) {
+    return ExecuteAggregate(table, query, exec);
+  }
+  PCLEAN_ASSIGN_OR_RETURN(
+      double nominal_var,
+      ExecuteAggregate(table,
+                       AggregateQuery{AggregateType::kVar,
+                                      query.numeric_attribute,
+                                      query.predicate, 50.0},
+                       exec));
+  // var(x + noise) = var(x) + 2b² for independent noise (§10).
+  double corrected = std::max(0.0, nominal_var - 2.0 * b * b);
+  return query.agg == AggregateType::kVar ? corrected : std::sqrt(corrected);
+}
+
+/// The bootstrap percentile interval (§10: the extension aggregates need
+/// "an empirical method") around `point`, at options.confidence over
+/// options.bootstrap_replicates resamples of the relation's rows with
+/// replacement. One RNG stream is forked per replicate from
+/// options.bootstrap_seed in replicate-index order, and replicate values
+/// merge in replicate order, so the interval is bit-identical at every
+/// thread count. Degenerate resamples (e.g. an empty selection) are
+/// dropped and counted in replicates_effective; at least half of the
+/// replicates (rounding up) must survive, or FailedPrecondition.
+Result<QueryResult> Bootstrap(const Table& relation,
+                              const AggregateQuery& query, double b,
+                              double point, const QueryOptions& options) {
+  const size_t rows = relation.num_rows();
+  const size_t replicates = options.bootstrap_replicates;
+  // Streams depend only on the replicate count, never on the thread
+  // count or on how many replicates turn out degenerate.
+  std::vector<Rng> replicate_rngs =
+      Rng(options.bootstrap_seed).ForkStreams(replicates);
+  std::vector<double> values(replicates, 0.0);
+  std::vector<uint8_t> succeeded(replicates, 0);
+  PCLEAN_RETURN_NOT_OK(ParallelFor(
+      replicates, ShardCountForCoarseItems(replicates), options.exec,
+      [&](size_t, size_t begin, size_t end) -> Status {
+        // One resample index buffer per shard, reused across its
+        // replicates. Replicates run their row passes inline (default
+        // ExecutionOptions): the replicate axis is already parallel.
+        std::vector<size_t> indices(rows);
+        for (size_t rep = begin; rep < end; ++rep) {
+          Rng& rep_rng = replicate_rngs[rep];
+          for (size_t i = 0; i < rows; ++i) {
+            indices[i] = static_cast<size_t>(rep_rng.UniformInt(rows));
+          }
+          PCLEAN_ASSIGN_OR_RETURN(Table resampled, relation.Take(indices));
+          auto value = ExtensionOnTable(resampled, query, b, {});
+          if (!value.ok()) continue;  // Degenerate resample.
+          values[rep] = *value;
+          succeeded[rep] = 1;
+        }
+        return Status::OK();
+      }));
+
+  // Merge surviving replicate values in replicate order.
+  std::vector<double> replicate_values;
+  replicate_values.reserve(replicates);
+  for (size_t rep = 0; rep < replicates; ++rep) {
+    if (succeeded[rep]) replicate_values.push_back(values[rep]);
+  }
+  // At least half must survive, rounding the threshold *up* for odd
+  // counts (2·size < replicates ⇔ size < ⌈replicates/2⌉).
+  if (2 * replicate_values.size() < replicates) {
+    return Status::FailedPrecondition(
+        "too many degenerate bootstrap replicates: " +
+        std::to_string(replicate_values.size()) + " of " +
+        std::to_string(replicates) + " succeeded");
+  }
+  const size_t effective = replicate_values.size();
+  const double alpha = (1.0 - options.confidence) / 2.0;
+  PCLEAN_ASSIGN_OR_RETURN(
+      PercentileEndpoints endpoints,
+      PercentilePair(std::move(replicate_values), 100.0 * alpha,
+                     100.0 * (1.0 - alpha)));
+  QueryResult result = PointResult(point, EstimatorKind::kPrivateClean, rows);
+  result.ci = ConfidenceInterval{endpoints.lo, endpoints.hi};
+  result.confidence = options.confidence;
+  result.replicates_requested = replicates;
+  result.replicates_effective = effective;
+  return result;
+}
+
+/// §10 extension aggregates (MEDIAN/PERCENTILE/VAR/STD): the point
+/// estimate, wrapped in the bootstrap interval when
+/// options.bootstrap_replicates > 0. The predicate applies nominally (no
+/// selectivity correction). Caveat: the median pass-through is exact
+/// only for distributions roughly symmetric around their median — on
+/// heavily skewed marginals the noised median shifts toward the heavy
+/// tail.
 Result<QueryResult> Extension(const PrivateTable& table,
                               const AggregateQuery& query,
                               const QueryOptions& options) {
-  if (options.bootstrap_replicates > 0) {
-    Rng rng(options.bootstrap_seed);
-    return table.BootstrapExtendedAggregate(query, rng,
-                                            options.bootstrap_replicates,
-                                            options.confidence, options.exec);
+  const Table& relation = table.relation();
+  const size_t replicates = options.bootstrap_replicates;
+  if (replicates > 0) {
+    if (replicates < 10) {
+      return Status::InvalidArgument(
+          "bootstrap needs >= 10 replicates (got " +
+          std::to_string(replicates) + ")");
+    }
+    if (!(options.confidence > 0.0 && options.confidence < 1.0)) {
+      return Status::InvalidArgument("confidence must be in (0, 1)");
+    }
+    if (relation.num_rows() == 0) {
+      return Status::FailedPrecondition(
+          "cannot bootstrap an empty private relation");
+    }
   }
-  PCLEAN_ASSIGN_OR_RETURN(double value,
-                          table.ExtendedAggregate(query, options.exec));
-  return PointResult(value, EstimatorKind::kPrivateClean, table.size());
+  // An attribute outside the Laplace metadata carries no noise (b = 0, a
+  // documented no-op correction) — but it must exist: a typo would
+  // otherwise surface only as a generic scan error.
+  if (table.metadata().numeric.count(query.numeric_attribute) == 0 &&
+      !relation.schema().FieldByName(query.numeric_attribute).ok()) {
+    return Status::InvalidArgument(
+        "extended aggregate attribute '" + query.numeric_attribute +
+        "' does not exist in the private relation");
+  }
+  const double b = NoiseScale(table, query.numeric_attribute);
+  PCLEAN_ASSIGN_OR_RETURN(double point,
+                          ExtensionOnTable(relation, query, b, options.exec));
+  if (replicates == 0) {
+    return PointResult(point, EstimatorKind::kPrivateClean, table.size());
+  }
+  return Bootstrap(relation, query, b, point, options);
 }
 
+/// Nominal masked group counts: GROUP BY and SELECT DISTINCT rows in
+/// Value order (present keys only), or their number for COUNT(DISTINCT).
 Result<SqlResultSet> DirectGrouped(const PrivateTable& table,
                                    const QueryPlan& plan,
                                    const ExecutionOptions& exec) {
   const Table& relation = table.relation();
-  std::vector<uint8_t> mask(relation.num_rows(), 1);
+  CompiledPredicate where = CompiledPredicate::True();
   if (plan.query.predicate.has_value()) {
-    PCLEAN_ASSIGN_OR_RETURN(mask,
-                            plan.query.predicate->Evaluate(relation, exec));
+    PCLEAN_ASSIGN_OR_RETURN(
+        where, CompiledPredicate::Compile(relation, *plan.query.predicate));
   }
-  PCLEAN_ASSIGN_OR_RETURN(const Column* col,
-                          relation.ColumnByName(plan.group_attribute));
-  // Boxed keys: a NULL group is its own bucket, never the empty string.
-  std::map<Value, size_t> counts;
-  for (size_t r = 0; r < col->size(); ++r) {
-    if (mask[r]) counts[col->ValueAt(r)]++;
-  }
+  PCLEAN_ASSIGN_OR_RETURN(
+      auto counts, GroupByCount(relation, plan.group_attribute, where, exec));
   if (plan.count_distinct) {
     return Scalar(PointResult(static_cast<double>(counts.size()),
                               EstimatorKind::kDirect, table.size()));
@@ -269,21 +443,9 @@ Result<SqlResultSet> RunRoute(const PrivateTable& table,
     case QueryRoute::kCorrectedScalar:
       return Scalar(CorrectedScalar(table, plan.query, options));
     case QueryRoute::kConjunctive:
-      return Scalar(
-          table.CountConjunctive(*plan.query.predicate, *plan.conjunct,
-                                 options));
-    case QueryRoute::kGrouped: {
-      PCLEAN_ASSIGN_OR_RETURN(
-          auto groups,
-          table.GroupByCountEstimate(plan.group_attribute, options));
-      SqlResultSet rs;
-      rs.grouped = true;
-      rs.rows.reserve(groups.size());
-      for (auto& [key, result] : groups) {
-        rs.rows.push_back(SqlRow{key, std::move(result)});
-      }
-      return rs;
-    }
+      return Scalar(Conjunctive(table, plan, options));
+    case QueryRoute::kGrouped:
+      return CorrectedGrouped(table, plan.group_attribute, options);
     case QueryRoute::kExtension:
       return Scalar(Extension(table, plan.query, options));
     case QueryRoute::kDirectScalar: {

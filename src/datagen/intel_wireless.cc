@@ -78,7 +78,7 @@ Result<IntelWirelessData> GenerateIntelWireless(
       humidity = rng.UniformRealRange(-10.0, 150.0);
       light = rng.UniformRealRange(0.0, 20000.0);
     } else {
-      id = Value("s" + std::to_string(sensor + 1));
+      id = Value(std::string("s").append(std::to_string(sensor + 1)));
     }
     builder.Row({id, Value(temp), Value(humidity), Value(light)});
   }

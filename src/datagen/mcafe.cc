@@ -22,7 +22,7 @@ Result<Table> GenerateMcafe(const McafeOptions& options, Rng& rng) {
   // synthetic codes to reach the requested distinct count.
   std::vector<std::string> countries = CountryCodes();
   for (size_t k = countries.size(); k < options.num_countries; ++k) {
-    countries.push_back("X" + std::to_string(k));
+    countries.push_back(std::string("X").append(std::to_string(k)));
   }
   countries.resize(options.num_countries);
 

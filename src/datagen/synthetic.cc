@@ -7,7 +7,7 @@
 namespace privateclean {
 
 Value SyntheticCategory(size_t rank) {
-  return Value("c" + std::to_string(rank));
+  return Value(std::string("c").append(std::to_string(rank)));
 }
 
 Result<Table> GenerateSynthetic(const SyntheticOptions& options, Rng& rng) {

@@ -318,17 +318,65 @@ Result<QueryScanStats> ScanWithPredicate(const Table& table,
 }
 
 Result<std::map<Value, size_t>> GroupByCount(
-    const Table& table, const std::string& group_attribute) {
+    const Table& table, const std::string& group_attribute,
+    const CompiledPredicate& where, const ExecutionOptions& exec) {
   PCLEAN_ASSIGN_OR_RETURN(const Column* col,
                           table.ColumnByName(group_attribute));
-  // Keys are boxed Values: a NULL group is Value::Null(), a distinct
-  // bucket from a genuine empty-string group (they collided when keys
-  // were stringified).
-  std::map<Value, size_t> counts;
-  for (size_t r = 0; r < col->size(); ++r) {
-    counts[col->ValueAt(r)]++;
+  const size_t rows = col->size();
+  const size_t ranges =
+      std::min(ShardCountForRows(rows), exec.EffectiveThreads());
+  const bool coded = col->type() == ValueType::kString;
+  // String columns: one slot per dictionary code plus a NULL slot.
+  const size_t null_slot = coded ? col->dictionary().size() : 0;
+  std::vector<std::vector<size_t>> code_counts(
+      coded ? ranges : 0, std::vector<size_t>(null_slot + 1, 0));
+  std::vector<std::map<Value, size_t>> boxed_counts(coded ? 0 : ranges);
+  PCLEAN_RETURN_NOT_OK(ParallelFor(
+      rows, ranges, exec,
+      [&](size_t range, size_t begin, size_t end) -> Status {
+        uint8_t mask[kVectorBatchRows];
+        for (size_t b = begin; b < end; b += kVectorBatchRows) {
+          const size_t batch = std::min(kVectorBatchRows, end - b);
+          where.EvalBatch(b, batch, mask);
+          if (coded) {
+            const uint32_t* codes = col->codes().data() + b;
+            std::vector<size_t>& counts = code_counts[range];
+            for (size_t i = 0; i < batch; ++i) {
+              counts[codes[i] == kNullCode ? null_slot : codes[i]] += mask[i];
+            }
+          } else {
+            std::map<Value, size_t>& counts = boxed_counts[range];
+            for (size_t i = 0; i < batch; ++i) {
+              if (mask[i]) ++counts[col->ValueAt(b + i)];
+            }
+          }
+        }
+        return Status::OK();
+      }));
+
+  std::map<Value, size_t> groups;
+  if (!coded) {
+    for (const std::map<Value, size_t>& partial : boxed_counts) {
+      for (const auto& [key, n] : partial) groups[key] += n;
+    }
+    return groups;
   }
-  return counts;
+  std::vector<size_t> counts(null_slot + 1, 0);
+  for (const std::vector<size_t>& partial : code_counts) {
+    for (size_t slot = 0; slot < counts.size(); ++slot) {
+      counts[slot] += partial[slot];
+    }
+  }
+  // Dictionary strings are distinct, so each code is its own group;
+  // unused codes (left behind by cleaning) count zero and are skipped.
+  const StringDictionary& dict = col->dictionary();
+  for (uint32_t code = 0; code < dict.size(); ++code) {
+    if (counts[code] > 0) {
+      groups.emplace(Value(std::string(dict.At(code))), counts[code]);
+    }
+  }
+  if (counts[null_slot] > 0) groups.emplace(Value::Null(), counts[null_slot]);
+  return groups;
 }
 
 }  // namespace privateclean

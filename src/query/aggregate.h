@@ -109,13 +109,24 @@ Result<QueryScanStats> ScanWithPredicate(const Table& table,
                                          const std::string& numeric_attribute,
                                          const ExecutionOptions& exec = {});
 
-/// `SELECT group, count(1) FROM t GROUP BY group_attribute` — used by the
-/// TPC-DS experiment (§8.3.4). Keys are the boxed group values, so a
-/// NULL group gets its own bucket (Value::Null()) and can never collide
-/// with a genuine empty-string group; render keys with RenderSqlLiteral
+/// `SELECT group, count(1) FROM t WHERE where GROUP BY group_attribute`
+/// — the one group-count kernel, behind the corrected GROUP BY (§8.3.4),
+/// every Direct grouped form (GROUP BY, SELECT DISTINCT, COUNT(DISTINCT))
+/// and the experiments' ground truth. Keys are the boxed group values of
+/// the rows `where` matches, in Value order, present keys only: a NULL
+/// group gets its own bucket (Value::Null()) and can never collide with a
+/// genuine empty-string group; render keys with RenderSqlLiteral
 /// (query/sql.h) for unambiguous display.
+///
+/// A string column counts dictionary codes into a code-indexed vector;
+/// other columns count boxed values. Counts are integers, so the result
+/// is the same for any row split: rows split into one range per thread
+/// of `exec` (at most one per kRowsPerShard rows), which bounds the
+/// count tables at threads × distinct values.
 Result<std::map<Value, size_t>> GroupByCount(
-    const Table& table, const std::string& group_attribute);
+    const Table& table, const std::string& group_attribute,
+    const CompiledPredicate& where = CompiledPredicate::True(),
+    const ExecutionOptions& exec = {});
 
 }  // namespace privateclean
 

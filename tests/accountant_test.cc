@@ -14,7 +14,8 @@ PrivateRelationMetadata MakeMetadata(double p, double b, double delta) {
   PrivateRelationMetadata meta;
   meta.dataset_size = 100;
   meta.discrete.emplace(
-      "d", DiscreteAttributeMeta{p, Domain::FromValues({Value("a")})});
+      "d",
+      DiscreteAttributeMeta{p, Domain::FromValues({Value("a")}), nullptr});
   meta.numeric.emplace("x", NumericAttributeMeta{b, delta});
   return meta;
 }
@@ -59,7 +60,8 @@ TEST(AccountantTest, AddingAttributesIncreasesEpsilon) {
   PrivateRelationMetadata one = MakeMetadata(0.25, 10.0, 100.0);
   PrivateRelationMetadata two = MakeMetadata(0.25, 10.0, 100.0);
   two.discrete.emplace(
-      "d2", DiscreteAttributeMeta{0.25, Domain::FromValues({Value("b")})});
+      "d2", DiscreteAttributeMeta{0.25, Domain::FromValues({Value("b")}),
+                                  nullptr});
   EXPECT_GT(AccountPrivacy(two)->total_epsilon,
             AccountPrivacy(one)->total_epsilon);
 }
@@ -102,7 +104,7 @@ PrivateRelationMetadata MetadataWithMechanism(const MechanismSpec& spec,
                                               double param, size_t n) {
   std::vector<Value> values;
   for (size_t i = 0; i < n; ++i) {
-    values.push_back(Value(static_cast<int64_t>(i)));
+    values.emplace_back(static_cast<int64_t>(i));
   }
   PrivateRelationMetadata meta;
   meta.dataset_size = 100;

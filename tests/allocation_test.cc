@@ -18,8 +18,8 @@ Table TestTable() {
                             Field::Numerical("x", ValueType::kDouble)});
   TableBuilder b(s);
   for (int i = 0; i < 100; ++i) {
-    b.Row({Value("a" + std::to_string(i % 4)),
-           Value("b" + std::to_string(i % 3)),
+    b.Row({Value(std::string("a").append(std::to_string(i % 4))),
+           Value(std::string("b").append(std::to_string(i % 3))),
            Value(static_cast<double>(i % 11))});  // Sensitivity 10.
   }
   return *b.Finish();

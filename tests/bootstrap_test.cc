@@ -43,6 +43,20 @@ TEST(TableTakeTest, RejectsOutOfRange) {
   EXPECT_TRUE(r.status().IsOutOfRange());
 }
 
+/// A §10 extension aggregate through the query plan, wrapped in a
+/// bootstrap interval of `replicates` replicates seeded by `seed`.
+Result<QueryResult> Bootstrap(const PrivateTable& pt,
+                              const AggregateQuery& query, uint64_t seed,
+                              size_t replicates, double confidence = 0.95,
+                              const ExecutionOptions& exec = {}) {
+  QueryOptions options;
+  options.bootstrap_replicates = replicates;
+  options.bootstrap_seed = seed;
+  options.confidence = confidence;
+  options.exec = exec;
+  return pt.Execute(query, options);
+}
+
 class BootstrapTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -59,19 +73,17 @@ class BootstrapTest : public ::testing::Test {
   std::optional<PrivateTable> pt_;
 };
 
-TEST_F(BootstrapTest, PointEstimateMatchesExtendedAggregate) {
+TEST_F(BootstrapTest, PointEstimateMatchesPointQuery) {
   AggregateQuery median{AggregateType::kMedian, "value", std::nullopt,
                         50.0};
-  Rng rng(3);
-  QueryResult boot = *pt_->BootstrapExtendedAggregate(median, rng, 100);
-  EXPECT_DOUBLE_EQ(boot.estimate, *pt_->ExtendedAggregate(median));
+  QueryResult boot = *Bootstrap(*pt_, median, 3, 100);
+  EXPECT_DOUBLE_EQ(boot.estimate, pt_->Execute(median)->estimate);
 }
 
 TEST_F(BootstrapTest, IntervalContainsPointAndIsNontrivial) {
   AggregateQuery median{AggregateType::kMedian, "value", std::nullopt,
                         50.0};
-  Rng rng(4);
-  QueryResult boot = *pt_->BootstrapExtendedAggregate(median, rng, 200);
+  QueryResult boot = *Bootstrap(*pt_, median, 4, 200);
   EXPECT_GT(boot.ci.Width(), 0.0);
   // The percentile interval should bracket the point estimate (up to
   // bootstrap skew; allow a tiny tolerance).
@@ -89,7 +101,7 @@ TEST_F(BootstrapTest, MedianIntervalCoversTruthOnSymmetricData) {
   TableBuilder b(s);
   Rng data_rng(42);
   for (int i = 0; i < 600; ++i) {
-    b.Row({Value("v" + std::to_string(i % 5)),
+    b.Row({Value(std::string("v").append(std::to_string(i % 5))),
            Value(50.0 + data_rng.Gaussian(0.0, 8.0))});
   }
   Table symmetric = *b.Finish();
@@ -101,9 +113,7 @@ TEST_F(BootstrapTest, MedianIntervalCoversTruthOnSymmetricData) {
     Rng rng(100 + t);
     PrivateTable pt = *PrivateTable::Create(
         symmetric, GrrParams::Uniform(0.1, 3.0), GrrOptions{}, rng);
-    Rng boot_rng(200 + t);
-    QueryResult boot =
-        *pt.BootstrapExtendedAggregate(median, boot_rng, 150);
+    QueryResult boot = *Bootstrap(pt, median, 200 + t, 150);
     if (boot.ci.Contains(truth)) ++covered;
   }
   // The bootstrap interval reflects sampling noise around the *private*
@@ -115,8 +125,7 @@ TEST_F(BootstrapTest, MedianIntervalCoversTruthOnSymmetricData) {
 TEST_F(BootstrapTest, StdIntervalNearTruth) {
   AggregateQuery stddev{AggregateType::kStd, "value", std::nullopt, 50.0};
   double truth = *ExecuteAggregate(*data_, stddev);
-  Rng rng(5);
-  QueryResult boot = *pt_->BootstrapExtendedAggregate(stddev, rng, 150);
+  QueryResult boot = *Bootstrap(*pt_, stddev, 5, 150);
   // Noise-corrected std should be in the right ballpark and the interval
   // should have sane width.
   EXPECT_NEAR(boot.estimate, truth, 0.4 * truth);
@@ -126,23 +135,23 @@ TEST_F(BootstrapTest, StdIntervalNearTruth) {
 TEST_F(BootstrapTest, RejectsBadArguments) {
   AggregateQuery median{AggregateType::kMedian, "value", std::nullopt,
                         50.0};
-  Rng rng(6);
-  EXPECT_FALSE(
-      pt_->BootstrapExtendedAggregate(median, rng, 5).ok());
-  EXPECT_FALSE(
-      pt_->BootstrapExtendedAggregate(median, rng, 100, 0.0).ok());
-  EXPECT_FALSE(
-      pt_->BootstrapExtendedAggregate(median, rng, 100, 1.0).ok());
-  AggregateQuery sum = AggregateQuery::Sum("value");
-  EXPECT_FALSE(pt_->BootstrapExtendedAggregate(sum, rng, 100).ok());
+  auto too_few = Bootstrap(*pt_, median, 6, 5);
+  ASSERT_FALSE(too_few.ok());
+  EXPECT_TRUE(too_few.status().IsInvalidArgument());
+  EXPECT_NE(too_few.status().message().find(">= 10"), std::string::npos);
+  EXPECT_FALSE(Bootstrap(*pt_, median, 6, 100, 0.0).ok());
+  EXPECT_FALSE(Bootstrap(*pt_, median, 6, 100, 1.0).ok());
+  // The bootstrap configures the extension route only: a SUM is the
+  // corrected scalar route and carries no replicates.
+  QueryResult sum = *Bootstrap(*pt_, AggregateQuery::Sum("value"), 6, 100);
+  EXPECT_EQ(sum.replicates_requested, 0u);
 }
 
 TEST_F(BootstrapTest, DeterministicGivenSeed) {
   AggregateQuery median{AggregateType::kMedian, "value", std::nullopt,
                         50.0};
-  Rng r1(7), r2(7);
-  QueryResult a = *pt_->BootstrapExtendedAggregate(median, r1, 50);
-  QueryResult b = *pt_->BootstrapExtendedAggregate(median, r2, 50);
+  QueryResult a = *Bootstrap(*pt_, median, 7, 50);
+  QueryResult b = *Bootstrap(*pt_, median, 7, 50);
   EXPECT_DOUBLE_EQ(a.ci.lo, b.ci.lo);
   EXPECT_DOUBLE_EQ(a.ci.hi, b.ci.hi);
 }
@@ -150,13 +159,10 @@ TEST_F(BootstrapTest, DeterministicGivenSeed) {
 TEST_F(BootstrapTest, ParallelMatchesSerial) {
   AggregateQuery median{AggregateType::kMedian, "value", std::nullopt,
                         50.0};
-  Rng r1(8), r2(8);
   ExecutionOptions four_threads;
   four_threads.num_threads = 4;
-  QueryResult serial =
-      *pt_->BootstrapExtendedAggregate(median, r1, 50, 0.95, {});
-  QueryResult parallel =
-      *pt_->BootstrapExtendedAggregate(median, r2, 50, 0.95, four_threads);
+  QueryResult serial = *Bootstrap(*pt_, median, 8, 50, 0.95, {});
+  QueryResult parallel = *Bootstrap(*pt_, median, 8, 50, 0.95, four_threads);
   EXPECT_EQ(serial.estimate, parallel.estimate);
   EXPECT_EQ(serial.ci.lo, parallel.ci.lo);
   EXPECT_EQ(serial.ci.hi, parallel.ci.hi);
@@ -166,8 +172,7 @@ TEST_F(BootstrapTest, ParallelMatchesSerial) {
 TEST_F(BootstrapTest, RecordsReplicateCounts) {
   AggregateQuery median{AggregateType::kMedian, "value", std::nullopt,
                         50.0};
-  Rng rng(9);
-  QueryResult boot = *pt_->BootstrapExtendedAggregate(median, rng, 60);
+  QueryResult boot = *Bootstrap(*pt_, median, 9, 60);
   EXPECT_EQ(boot.replicates_requested, 60u);
   // No predicate, 600 rows: every resample is non-degenerate.
   EXPECT_EQ(boot.replicates_effective, 60u);
@@ -189,13 +194,13 @@ TEST_F(BootstrapTest, DegenerateReplicatesReduceEffectiveCount) {
   PrivateRelationMetadata meta;
   meta.discrete.emplace(
       "category",
-      DiscreteAttributeMeta{0.1, *Domain::FromColumn(t, "category")});
+      DiscreteAttributeMeta{0.1, *Domain::FromColumn(t, "category"),
+                            nullptr});
   meta.numeric.emplace("value", NumericAttributeMeta{2.0, 100.0});
   PrivateTable pt = *PrivateTable::FromPrivateRelation(t.Clone(), meta);
   AggregateQuery median{AggregateType::kMedian, "value",
                         Predicate::Equals("category", Value("rare")), 50.0};
-  Rng rng(10);
-  QueryResult boot = *pt.BootstrapExtendedAggregate(median, rng, 100);
+  QueryResult boot = *Bootstrap(pt, median, 10, 100);
   EXPECT_EQ(boot.replicates_requested, 100u);
   EXPECT_LT(boot.replicates_effective, boot.replicates_requested);
   // Guard: at least half (round-up for odd counts) must have succeeded
@@ -220,13 +225,13 @@ TEST_F(BootstrapTest, FailsWhenMostReplicatesDegenerate) {
   PrivateRelationMetadata meta;
   meta.discrete.emplace(
       "category",
-      DiscreteAttributeMeta{0.1, *Domain::FromColumn(t, "category")});
+      DiscreteAttributeMeta{0.1, *Domain::FromColumn(t, "category"),
+                            nullptr});
   meta.numeric.emplace("value", NumericAttributeMeta{2.0, 100.0});
   PrivateTable pt = *PrivateTable::FromPrivateRelation(t.Clone(), meta);
   AggregateQuery var{AggregateType::kVar, "value",
                      Predicate::Equals("category", Value("rare")), 50.0};
-  Rng rng(11);
-  auto r = pt.BootstrapExtendedAggregate(var, rng, 51);
+  auto r = Bootstrap(pt, var, 11, 51);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsFailedPrecondition());
 }
@@ -234,11 +239,10 @@ TEST_F(BootstrapTest, FailsWhenMostReplicatesDegenerate) {
 TEST_F(BootstrapTest, UnknownAttributeIsTypedError) {
   AggregateQuery median{AggregateType::kMedian, "no_such_column",
                         std::nullopt, 50.0};
-  auto direct = pt_->ExtendedAggregate(median);
+  auto direct = pt_->Execute(median);
   ASSERT_FALSE(direct.ok());
   EXPECT_TRUE(direct.status().IsInvalidArgument());
-  Rng rng(12);
-  auto boot = pt_->BootstrapExtendedAggregate(median, rng, 50);
+  auto boot = Bootstrap(*pt_, median, 12, 50);
   ASSERT_FALSE(boot.ok());
   EXPECT_TRUE(boot.status().IsInvalidArgument());
 }
@@ -257,11 +261,11 @@ TEST_F(BootstrapTest, UnNoisedNumericColumnUsesZeroNoiseScale) {
   Table t = *b.Finish();
   PrivateRelationMetadata meta;
   meta.discrete.emplace(
-      "d", DiscreteAttributeMeta{0.2, *Domain::FromColumn(t, "d")});
+      "d", DiscreteAttributeMeta{0.2, *Domain::FromColumn(t, "d"), nullptr});
   meta.numeric.emplace("x", NumericAttributeMeta{0.0, 10.0});
   PrivateTable pt = *PrivateTable::FromPrivateRelation(t.Clone(), meta);
   AggregateQuery var{AggregateType::kVar, "x", std::nullopt, 50.0};
-  double corrected = *pt.ExtendedAggregate(var);
+  double corrected = pt.Execute(var)->estimate;
   double nominal = *ExecuteAggregate(t, var);
   // b = 0 ⇒ the 2b² variance correction vanishes.
   EXPECT_DOUBLE_EQ(corrected, nominal);

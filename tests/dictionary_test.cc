@@ -147,7 +147,9 @@ TEST(ArenaProfilerTest, SnapshotIsSortedAndIncludesKnownSites) {
   ASSERT_FALSE(snapshot.empty());
   bool found = false;
   for (size_t i = 0; i < snapshot.size(); ++i) {
-    if (i > 0) EXPECT_LT(snapshot[i - 1].site, snapshot[i].site);
+    if (i > 0) {
+      EXPECT_LT(snapshot[i - 1].site, snapshot[i].site);
+    }
     if (snapshot[i].site == "test/snapshot_site") found = true;
   }
   EXPECT_TRUE(found);

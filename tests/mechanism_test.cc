@@ -38,7 +38,7 @@ MechanismSpec Sampling(double beta) {
 Domain IntDomain(size_t n) {
   std::vector<Value> values;
   for (size_t i = 0; i < n; ++i) {
-    values.push_back(Value(static_cast<int64_t>(i)));
+    values.emplace_back(static_cast<int64_t>(i));
   }
   return Domain::FromValues(values);
 }

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "cleaning/merge.h"
+#include "core/conjunctive.h"
 #include "core/private_table.h"
+#include "core/sql_execution.h"
 #include "datagen/synthetic.h"
 #include "parallel_harness.h"
 #include "privacy/grr.h"
@@ -212,12 +214,13 @@ TEST(ParallelDeterminismTest, GroupByCountIdenticalAcrossThreadCounts) {
   ExpectIdenticalAcrossThreadCounts([&](const ExecutionOptions& exec) {
     QueryOptions options;
     options.exec = exec;
-    auto groups = *pt.GroupByCountEstimate("category", options);
+    SqlResultSet rs = *ExecuteSqlQuery(
+        pt, "SELECT count(1) FROM r GROUP BY category", options);
     ByteSink sink;
-    sink.AppendU64(groups.size());
-    for (const auto& [value, result] : groups) {
-      sink.AppendValue(value);
-      AppendQueryResult(&sink, result);
+    sink.AppendU64(rs.rows.size());
+    for (const SqlRow& row : rs.rows) {
+      sink.AppendValue(*row.group);
+      AppendQueryResult(&sink, row.result);
     }
     return std::move(sink).Finish();
   });
@@ -363,6 +366,17 @@ void AppendBootstrapResult(ByteSink* sink, const QueryResult& r) {
   sink->AppendU64(r.replicates_effective);
 }
 
+/// Bootstrap options for a §10 extension query: `replicates` replicates
+/// from `seed` at the 95% level.
+QueryOptions BootstrapOptions(uint64_t seed, size_t replicates,
+                              const ExecutionOptions& exec) {
+  QueryOptions options;
+  options.bootstrap_seed = seed;
+  options.bootstrap_replicates = replicates;
+  options.exec = exec;
+  return options;
+}
+
 TEST(ParallelDeterminismTest, BootstrapIdenticalAcrossThreadCounts) {
   // The replicate loop forks one RNG stream per replicate in replicate
   // index order and merges replicate values in replicate order, so the
@@ -386,9 +400,7 @@ TEST(ParallelDeterminismTest, BootstrapIdenticalAcrossThreadCounts) {
   ExpectIdenticalAcrossThreadCounts([&](const ExecutionOptions& exec) {
     ByteSink sink;
     for (const AggregateQuery& query : queries) {
-      Rng boot_rng(23);
-      QueryResult r =
-          *pt.BootstrapExtendedAggregate(query, boot_rng, 24, 0.95, exec);
+      QueryResult r = *pt.Execute(query, BootstrapOptions(23, 24, exec));
       AppendBootstrapResult(&sink, r);
     }
     return std::move(sink).Finish();
@@ -417,7 +429,8 @@ TEST(ParallelDeterminismTest,
   PrivateRelationMetadata meta;
   meta.discrete.emplace(
       "category",
-      DiscreteAttributeMeta{0.1, *Domain::FromColumn(data, "category")});
+      DiscreteAttributeMeta{0.1, *Domain::FromColumn(data, "category"),
+                            nullptr});
   meta.numeric.emplace("value", NumericAttributeMeta{3.0, 100.0});
   // FromPrivateRelation keeps the rows exactly as built, so the rare
   // category stays at exactly two occurrences.
@@ -425,19 +438,14 @@ TEST(ParallelDeterminismTest,
   AggregateQuery median{AggregateType::kMedian, "value",
                         Predicate::Equals("category", Value("rare")), 50.0};
 
-  ExecutionOptions serial;
-  Rng probe_rng(31);
-  QueryResult probe =
-      *pt.BootstrapExtendedAggregate(median, probe_rng, 20, 0.95, serial);
+  QueryResult probe = *pt.Execute(median, BootstrapOptions(31, 20, {}));
   // The fixed seed must actually produce degenerate replicates, or this
   // test exercises nothing.
   ASSERT_LT(probe.replicates_effective, probe.replicates_requested);
   ASSERT_GE(2 * probe.replicates_effective, probe.replicates_requested);
 
   ExpectIdenticalAcrossThreadCounts([&](const ExecutionOptions& exec) {
-    Rng boot_rng(31);
-    QueryResult r =
-        *pt.BootstrapExtendedAggregate(median, boot_rng, 20, 0.95, exec);
+    QueryResult r = *pt.Execute(median, BootstrapOptions(31, 20, exec));
     ByteSink sink;
     AppendBootstrapResult(&sink, r);
     return std::move(sink).Finish();

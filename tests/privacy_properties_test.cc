@@ -53,8 +53,8 @@ TEST_P(RrPrivacyTest, EmpiricalLikelihoodRatioRespectsLemma1) {
 INSTANTIATE_TEST_SUITE_P(Ps, RrPrivacyTest,
                          ::testing::Values(0.1, 0.25, 0.5, 0.75, 1.0),
                          [](const ::testing::TestParamInfo<double>& info) {
-                           return "p" + std::to_string(static_cast<int>(
-                                            info.param * 100));
+                           return std::string("p").append(std::to_string(
+                               static_cast<int>(info.param * 100)));
                          });
 
 struct TransitionCase {
@@ -71,7 +71,7 @@ TEST_P(TransitionMatrixTest, EmpiricalRatesMatchFormulas) {
   // Domain {v0..v_{n-1}}; predicate selects the first l values.
   std::vector<Value> values;
   for (size_t k = 0; k < tc.n; ++k) {
-    values.push_back(Value("v" + std::to_string(k)));
+    values.emplace_back(std::string("v").append(std::to_string(k)));
   }
   Domain domain = Domain::FromValues(values);
   auto in_pred = [&](const Value& v) {
@@ -168,8 +168,8 @@ TEST_P(LaplacePrivacyTest, EmpiricalDensityRatioRespectsEpsilon) {
 INSTANTIATE_TEST_SUITE_P(Scales, LaplacePrivacyTest,
                          ::testing::Values(1.0, 2.0, 5.0),
                          [](const ::testing::TestParamInfo<double>& info) {
-                           return "b" + std::to_string(static_cast<int>(
-                                            info.param));
+                           return std::string("b").append(
+                               std::to_string(static_cast<int>(info.param)));
                          });
 
 struct PreservationCase {
@@ -185,7 +185,7 @@ TEST_P(DomainPreservationSweep, EmpiricalRateAtLeastAnalyticBound) {
   const PreservationCase& pc = GetParam();
   std::vector<Value> values;
   for (size_t i = 0; i < pc.s; ++i) {
-    values.push_back(Value("v" + std::to_string(i % pc.n)));
+    values.emplace_back(std::string("v").append(std::to_string(i % pc.n)));
   }
   Domain domain = Domain::FromValues(values);
   ASSERT_EQ(domain.size(), pc.n);

@@ -167,24 +167,80 @@ TEST(PrivateTableTest, PredicateOnMissingAttributeFails) {
       pt.Execute(AggregateQuery::Count(Predicate::Equals("nope", "x"))).ok());
 }
 
-TEST(PrivateTableTest, ExecuteRejectsExtendedAggregates) {
-  PrivateTable pt = MakePrivate();
-  AggregateQuery q{AggregateType::kMedian, "score", std::nullopt, 50.0};
-  EXPECT_FALSE(pt.Execute(q).ok());
+/// Bit equality of two results: the estimate, the interval and the
+/// bootstrap replicate counts.
+void ExpectSameBits(const QueryResult& a, const QueryResult& b) {
+  EXPECT_EQ(a.estimate, b.estimate);
+  EXPECT_EQ(a.ci.lo, b.ci.lo);
+  EXPECT_EQ(a.ci.hi, b.ci.hi);
+  EXPECT_EQ(a.replicates_requested, b.replicates_requested);
+  EXPECT_EQ(a.replicates_effective, b.replicates_effective);
 }
 
-TEST(PrivateTableTest, ExtendedAggregates) {
+TEST(PrivateTableTest, ExecuteMatchesSqlOnEveryRoute) {
+  // Execute builds the same plan ExecuteSqlQuery parses to, so each route
+  // — the §10 extension aggregates, bootstrapped or not, and the §10
+  // conjunctive COUNT — answers with the same bits either way.
+  Schema schema = *Schema::Make(
+      {Field::Discrete("major"), Field::Discrete("campus"),
+       Field::Numerical("score", ValueType::kDouble)});
+  TableBuilder b(schema);
+  const char* majors[] = {"EECS", "Math", "Bio"};
+  const char* campuses[] = {"North", "South"};
+  for (int i = 0; i < 600; ++i) {
+    b.Row({Value(majors[i % 3]), Value(campuses[(i / 3) % 2]),
+           Value(1.0 + (i % 7))});
+  }
+  Rng rng(24);
+  PrivateTable pt = *PrivateTable::Create(
+      *b.Finish(), GrrParams::Uniform(0.2, 0.5), GrrOptions{}, rng);
+  QueryOptions bootstrap;
+  bootstrap.bootstrap_replicates = 40;
+  bootstrap.bootstrap_seed = 5;
+  bootstrap.exec.num_threads = 2;
+  struct Case {
+    AggregateQuery query;
+    std::string sql;
+    QueryOptions options;
+  };
+  const std::vector<Case> cases = {
+      {AggregateQuery{AggregateType::kMedian, "score", std::nullopt, 50.0},
+       "SELECT median(score) FROM r", QueryOptions()},
+      {AggregateQuery{AggregateType::kVar, "score",
+                      Predicate::Equals("major", "Math"), 50.0},
+       "SELECT var(score) FROM r WHERE major = 'Math'", QueryOptions()},
+      {AggregateQuery{AggregateType::kPercentile, "score", std::nullopt, 90.0},
+       "SELECT percentile(score, 90) FROM r", bootstrap},
+      {AggregateQuery::Count(
+           Predicate::And({Predicate::Equals("major", "EECS"),
+                           Predicate::Equals("campus", "North")})),
+       "SELECT count(1) FROM r WHERE major = 'EECS' AND campus = 'North'",
+       QueryOptions()},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    QueryResult via_execute = *pt.Execute(c.query, c.options);
+    SqlResultSet via_sql = *ExecuteSqlQuery(pt, c.sql, c.options);
+    ASSERT_EQ(via_sql.rows.size(), 1u);
+    ExpectSameBits(via_execute, via_sql.rows.front().result);
+  }
+  // The bootstrap case really carries an interval.
+  EXPECT_EQ(pt.Execute(cases[2].query, bootstrap)->replicates_requested, 40u);
+}
+
+TEST(PrivateTableTest, ExtensionAggregates) {
   PrivateTable pt = MakePrivate(0.1, 2.0, 13);
   AggregateQuery median{AggregateType::kMedian, "score", std::nullopt, 50.0};
-  double med = *pt.ExtendedAggregate(median);
+  double med = pt.Execute(median)->estimate;
   EXPECT_NEAR(med, 3.5, 1.5);  // True median 3.5, noised.
   AggregateQuery var{AggregateType::kVar, "score", std::nullopt, 50.0};
-  double corrected_var = *pt.ExtendedAggregate(var);
+  double corrected_var = pt.Execute(var)->estimate;
   // True variance ~1.27; nominal private var inflated by 2b^2 = 8, the
   // correction subtracts it back.
   EXPECT_NEAR(corrected_var, 1.27, 1.0);
-  AggregateQuery bad{AggregateType::kSum, "score", std::nullopt, 50.0};
-  EXPECT_FALSE(pt.ExtendedAggregate(bad).ok());
+  // The same front door answers SUM through its own route.
+  AggregateQuery sum{AggregateType::kSum, "score", std::nullopt, 50.0};
+  EXPECT_TRUE(pt.Execute(sum).ok());
 }
 
 TEST(PrivateTableTest, CreateWithTuningProducesTargetBound) {
@@ -229,9 +285,11 @@ TEST(PrivateTableTest, GraphCacheInvalidatedByCleaning) {
 
 TEST(PrivateTableTest, ProvenanceForExposesGraph) {
   PrivateTable pt = MakePrivate(0.2, 0.5, 23);
-  ProvenanceGraph g = *pt.ProvenanceFor("major");
-  EXPECT_EQ(g.num_dirty_values(), 6u);
-  EXPECT_TRUE(g.is_fork_free());
+  const ProvenanceGraph* g = *pt.ProvenanceFor("major");
+  EXPECT_EQ(g->num_dirty_values(), 6u);
+  EXPECT_TRUE(g->is_fork_free());
+  // Cached: a second call returns the same graph, not a rebuild.
+  EXPECT_EQ(*pt.ProvenanceFor("major"), g);
   EXPECT_FALSE(pt.ProvenanceFor("score").ok());
 }
 

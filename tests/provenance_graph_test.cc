@@ -86,7 +86,7 @@ TEST(ProvenanceGraphTest, OutgoingWeightsSumToOne) {
   std::vector<Value> dirty_values, clean_values;
   const char* targets[] = {"t0", "t1", "t2"};
   for (int i = 0; i < 60; ++i) {
-    dirty_values.push_back(Value("d" + std::to_string(i % 4)));
+    dirty_values.emplace_back(std::string("d").append(std::to_string(i % 4)));
     clean_values.push_back(Value(targets[i % 3]));
   }
   Domain domain = Domain::FromValues(dirty_values);
@@ -105,8 +105,8 @@ TEST(ProvenanceGraphTest, WeightedSelectivityOfFullCleanDomainIsN) {
   // Selecting every clean value must recover all N dirty values' mass.
   std::vector<Value> dirty_values, clean_values;
   for (int i = 0; i < 40; ++i) {
-    dirty_values.push_back(Value("d" + std::to_string(i % 8)));
-    clean_values.push_back(Value("c" + std::to_string(i % 3)));
+    dirty_values.emplace_back(std::string("d").append(std::to_string(i % 8)));
+    clean_values.emplace_back(std::string("c").append(std::to_string(i % 3)));
   }
   Domain domain = Domain::FromValues(dirty_values);
   ProvenanceGraph g = *ProvenanceGraph::Build(

@@ -33,7 +33,7 @@ TEST(RandomizedResponseTest, OutputStaysInDomain) {
   Rng rng(2);
   std::vector<Value> values;
   for (int i = 0; i < 500; ++i) {
-    values.push_back(Value("v" + std::to_string(i % 7)));
+    values.emplace_back(std::string("v").append(std::to_string(i % 7)));
   }
   Column c = MakeColumn(values);
   Domain d = Domain::FromValues(values);
@@ -51,7 +51,7 @@ TEST(RandomizedResponseTest, RetentionRateMatchesTheory) {
   const int rows = 50000;
   std::vector<Value> values;
   for (int i = 0; i < rows; ++i) {
-    values.push_back(Value("v" + std::to_string(i % n_domain)));
+    values.emplace_back(std::string("v").append(std::to_string(i % n_domain)));
   }
   Column c = MakeColumn(values);
   Domain d = Domain::FromValues(values);
@@ -155,7 +155,7 @@ TEST(TransitionProbabilitiesTest, RejectsBadInputs) {
 TEST(RandomizedResponseTest, DeterministicGivenSeed) {
   std::vector<Value> values;
   for (int i = 0; i < 100; ++i) {
-    values.push_back(Value("v" + std::to_string(i % 5)));
+    values.emplace_back(std::string("v").append(std::to_string(i % 5)));
   }
   Domain d = Domain::FromValues(values);
   Column c1 = MakeColumn(values), c2 = MakeColumn(values);

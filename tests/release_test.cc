@@ -890,7 +890,7 @@ TEST_F(ReleaseTest, LineBreakingColumnNamesAreEscapedInTheManifest) {
                                              ValueType::kDouble)});
   TableBuilder b(s);
   for (int i = 0; i < 50; ++i) {
-    b.Row({Value("v" + std::to_string(i % 3)),
+    b.Row({Value(std::string("v").append(std::to_string(i % 3))),
            Value(static_cast<double>(i % 7))});
   }
   Table t = *b.Finish();
@@ -940,7 +940,8 @@ GrrOutput MakeNullHeavy() {
        Field::Numerical("n", ValueType::kInt64)});
   TableBuilder b(s);
   for (int i = 0; i < 203; ++i) {
-    b.Row({i % 5 == 0 ? Value::Null() : Value("t" + std::to_string(i % 6)),
+    const std::string text = std::string("t").append(std::to_string(i % 6));
+    b.Row({i % 5 == 0 ? Value::Null() : Value(text),
            i % 7 == 0 ? Value::Null() : Value(int64_t{i % 4}),
            i % 3 == 0 ? Value::Null() : Value(i * 0.5),
            i % 4 == 0 ? Value::Null() : Value(int64_t{i % 9})});
@@ -1106,10 +1107,10 @@ TEST_F(ReleaseTest, SegmentNonZeroNullPayloadIsDataLoss) {
 
 TEST_F(ReleaseTest, ManifestVersionOtherThanTwoOrThreeIsFailedPrecondition) {
   ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
-  for (const std::string& version : {"1", "4"}) {
+  for (const char* version : {"1", "4"}) {
     PatchManifestLines(dir_, [&](const std::string& line) {
       if (line.rfind("version: ", 0) == 0) {
-        return std::optional<std::string>("version: " + version);
+        return std::optional<std::string>(std::string("version: ") + version);
       }
       return std::optional<std::string>(line);
     });

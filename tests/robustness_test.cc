@@ -95,7 +95,7 @@ TEST(Int64PipelineTest, RoundedNoiseSumStaysUnbiased) {
   TableBuilder b(schema);
   Rng data_rng(3);
   for (int i = 0; i < 800; ++i) {
-    b.Row({Value("m" + std::to_string(i % 8)),
+    b.Row({Value(std::string("m").append(std::to_string(i % 8))),
            Value(static_cast<int64_t>(1 + data_rng.UniformInt(5)))});
   }
   Table data = *b.Finish();

@@ -124,7 +124,7 @@ TEST(DomainPreservationTest, EmpiricalRateRespectsBound) {
   const double p = 0.5;
   std::vector<Value> values;
   for (size_t i = 0; i < s; ++i) {
-    values.push_back(Value("v" + std::to_string(i % n)));
+    values.emplace_back(std::string("v").append(std::to_string(i % n)));
   }
   Domain domain = Domain::FromValues(values);
   Rng rng(77);

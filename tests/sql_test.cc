@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/conjunctive.h"
 #include "core/sql_execution.h"
 #include "datagen/synthetic.h"
 #include "table/table_builder.h"
@@ -637,9 +638,9 @@ TEST_F(SqlExecutionTest, ConjunctiveCountDispatch) {
   QueryResult via_sql = *CorrectedSqlRow(
       *pt_,
       "SELECT count(1) FROM r WHERE dept = 'EECS' AND campus = 'North'");
-  QueryResult via_api = *pt_->CountConjunctive(
-      Predicate::Equals("dept", "EECS"),
-      Predicate::Equals("campus", "North"));
+  QueryResult via_api = *pt_->Execute(AggregateQuery::Count(
+      Predicate::And({Predicate::Equals("dept", "EECS"),
+                      Predicate::Equals("campus", "North")})));
   EXPECT_DOUBLE_EQ(via_sql.estimate, via_api.estimate);
 }
 
@@ -789,12 +790,18 @@ TEST_F(SqlExecutionTest, GroupByRunsCorrectedPerGroupCounts) {
   // Corrected group counts are consistent: they sum to ~S (each true
   // group is 100 of 400 rows).
   EXPECT_NEAR(total, 400.0, 40.0);
-  auto grouped_via_api = *pt_->GroupByCountEstimate("dept");
-  ASSERT_EQ(grouped_via_api.size(), 4u);
+  // The same plan built programmatically, not parsed.
+  ParsedSql by_hand;
+  by_hand.table_name = "r";
+  by_hand.query = AggregateQuery::Count();
+  by_hand.group_by = "dept";
+  SqlResultSet grouped_via_api = *ExecutePlan(
+      *pt_, PlanQuery(*pt_, by_hand, QueryMode::kCorrected), QueryOptions());
+  ASSERT_EQ(grouped_via_api.rows.size(), 4u);
   for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(rs.rows[i].group, grouped_via_api[i].first);
+    EXPECT_EQ(rs.rows[i].group, grouped_via_api.rows[i].group);
     EXPECT_DOUBLE_EQ(rs.rows[i].result.estimate,
-                     grouped_via_api[i].second.estimate);
+                     grouped_via_api.rows[i].result.estimate);
   }
 }
 

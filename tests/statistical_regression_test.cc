@@ -43,7 +43,7 @@ Table SkewedTable() {
   TableBuilder builder(schema);
   for (size_t j = 0; j < CategoryCounts().size(); ++j) {
     for (size_t k = 0; k < CategoryCounts()[j]; ++k) {
-      builder.Row({Value("c" + std::to_string(j)),
+      builder.Row({Value(std::string("c").append(std::to_string(j))),
                    Value(static_cast<double>(j) * 10.0)});
     }
   }
@@ -78,8 +78,8 @@ TEST(StatisticalRegressionTest, ShardedGrrMatchesTransitionDistribution) {
     auto counts = *GroupByCount(out.table, "category");
     std::vector<double> observed;
     for (size_t j = 0; j < n_values; ++j) {
-      observed.push_back(
-          static_cast<double>(counts[Value("c" + std::to_string(j))]));
+      const Value category(std::string("c").append(std::to_string(j)));
+      observed.push_back(static_cast<double>(counts[category]));
     }
     double chi2 = *ChiSquaredStatistic(observed, expected);
     EXPECT_LT(chi2, threshold) << "chi-squared " << chi2;

@@ -15,7 +15,7 @@ Table TestTable(size_t rows = 1000) {
                             Field::Numerical("x", ValueType::kDouble)});
   TableBuilder b(s);
   for (size_t i = 0; i < rows; ++i) {
-    b.Row({Value("v" + std::to_string(i % 20)),
+    b.Row({Value(std::string("v").append(std::to_string(i % 20))),
            Value(static_cast<double>(i % 101))});  // Range [0, 100].
   }
   return *b.Finish();

@@ -420,8 +420,10 @@ Status RunQuery(const ParsedArgs& args, std::ostream& out) {
   if (args.Has("bootstrap")) {
     PCLEAN_ASSIGN_OR_RETURN(std::string text, args.One("bootstrap"));
     PCLEAN_ASSIGN_OR_RETURN(int64_t replicates, ParseInt64(text));
-    if (replicates < 10) {
-      return Status::InvalidArgument("--bootstrap needs >= 10 replicates");
+    // The replicate minimum is the library's check (the extension route);
+    // only a negative count is a malformed flag.
+    if (replicates < 0) {
+      return Status::InvalidArgument("--bootstrap must be a replicate count");
     }
     options.bootstrap_replicates = static_cast<size_t>(replicates);
   }
