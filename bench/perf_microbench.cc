@@ -366,13 +366,31 @@ void BM_CsvParseParallelScaling(benchmark::State& state) {
 BENCHMARK(BM_CsvParseParallelScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
+void BM_CsvInferParallelScaling(benchmark::State& state) {
+  // Schema inference: the same framing and tokenizer as the parse, with
+  // per-shard int/double acceptance flags instead of cell typing.
+  const Table& data = ScalingTable();
+  CsvOptions options;
+  options.exec.num_threads = static_cast<size_t>(state.range(0));
+  const std::string text = TableToCsv(data, options);
+  for (auto _ : state) {
+    auto schema = InferCsvSchema(text, options);
+    benchmark::DoNotOptimize(schema.ok());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(data.num_rows()));
+}
+BENCHMARK(BM_CsvInferParallelScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_CsvSplitParallelScaling(benchmark::State& state) {
-  // Record splitting alone (the stage CSV parse scaling was previously
-  // bottlenecked on), over ~1M rows of text heavy in quoted fields —
-  // multiline, escaped quotes, CRLF — so the speculative splitter's
-  // parity machinery is what's measured, not a plain memchr loop. Forced
-  // speculative even at 1 thread, so Arg(1) reports the splitter's
-  // overhead against BM_CsvParseParallelScaling's serial baseline.
+  // Record framing and field tokenizing without cell typing, over ~1M
+  // rows of text heavy in quoted fields — multiline, escaped quotes, CRLF
+  // — so the speculative split's parity machinery and the tokenizer's
+  // unescaping path are what's measured, not the plain-record fast path.
+  // SplitCsvRecords also copies every field into a CsvRawRecord, which
+  // the parse itself never does. Forced speculative even at 1 thread, so
+  // Arg(1) reports the chunked framing's overhead.
   static const std::string* text = [] {
     auto* s = new std::string("name,score,count\n");
     s->reserve(45u << 20);

@@ -376,19 +376,9 @@ Result<QueryResult> Extension(const PrivateTable& table,
                               const QueryOptions& options) {
   const Table& relation = table.relation();
   const size_t replicates = options.bootstrap_replicates;
-  if (replicates > 0) {
-    if (replicates < 10) {
-      return Status::InvalidArgument(
-          "bootstrap needs >= 10 replicates (got " +
-          std::to_string(replicates) + ")");
-    }
-    if (!(options.confidence > 0.0 && options.confidence < 1.0)) {
-      return Status::InvalidArgument("confidence must be in (0, 1)");
-    }
-    if (relation.num_rows() == 0) {
-      return Status::FailedPrecondition(
-          "cannot bootstrap an empty private relation");
-    }
+  if (replicates > 0 && relation.num_rows() == 0) {
+    return Status::FailedPrecondition(
+        "cannot bootstrap an empty private relation");
   }
   // An attribute outside the Laplace metadata carries no noise (b = 0, a
   // documented no-op correction) — but it must exist: a typo would
@@ -524,10 +514,30 @@ QueryPlan PlanQuery(const PrivateTable& table, const ParsedSql& parsed,
   return plan;
 }
 
+Status ValidateQueryOptions(const QueryPlan& plan,
+                            const QueryOptions& options) {
+  const bool interval = plan.route == QueryRoute::kCorrectedScalar ||
+                        plan.route == QueryRoute::kConjunctive ||
+                        plan.route == QueryRoute::kGrouped;
+  const bool bootstrap = plan.route == QueryRoute::kExtension &&
+                         options.bootstrap_replicates > 0;
+  if (bootstrap && options.bootstrap_replicates < 10) {
+    return Status::InvalidArgument("bootstrap needs >= 10 replicates (got " +
+                                   std::to_string(options.bootstrap_replicates) +
+                                   ")");
+  }
+  if ((interval || bootstrap) &&
+      !(options.confidence > 0.0 && options.confidence < 1.0)) {
+    return Status::InvalidArgument("confidence must be in (0, 1)");
+  }
+  return Status::OK();
+}
+
 Result<SqlResultSet> ExecutePlan(const PrivateTable& table,
                                  const QueryPlan& plan,
                                  const QueryOptions& options) {
   PCLEAN_RETURN_NOT_OK(plan.status);
+  PCLEAN_RETURN_NOT_OK(ValidateQueryOptions(plan, options));
   PCLEAN_ASSIGN_OR_RETURN(SqlResultSet rs, RunRoute(table, plan, options));
   ShapeRows(plan, &rs.rows);
   const MemoryStats memory = CurrentMemoryStats(table.relation());

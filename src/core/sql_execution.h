@@ -109,10 +109,18 @@ struct QueryPlan {
 QueryPlan PlanQuery(const PrivateTable& table, const ParsedSql& parsed,
                     QueryMode mode);
 
+/// Checks the options a plan's route reads, before anything runs: the
+/// corrected COUNT/SUM/AVG, conjunctive and grouped routes need
+/// `confidence` in (0, 1); a bootstrapped extension aggregate needs at
+/// least 10 replicates and a confidence in (0, 1). Admission calls it
+/// before charging, so a query these options would fail costs no ε.
+Status ValidateQueryOptions(const QueryPlan& plan, const QueryOptions& options);
+
 /// Runs a plan: the route's estimator, ORDER BY / LIMIT shaping, and the
 /// memory accounting every result row carries. A rejected plan returns
-/// its status. Threading per `options.exec`; results are identical at
-/// every thread count.
+/// its status, and options ValidateQueryOptions refuses return its
+/// status. Threading per `options.exec`; results are identical at every
+/// thread count.
 Result<SqlResultSet> ExecutePlan(const PrivateTable& table,
                                  const QueryPlan& plan,
                                  const QueryOptions& options);

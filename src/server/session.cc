@@ -304,8 +304,17 @@ Status Session::HandleQuery(const Frame& frame) {
   PCLEAN_ASSIGN_OR_RETURN(QueryRequest request,
                           ParseQueryRequest(frame.payload));
   const PrivateTable& table = release_->table;
+  QueryOptions options;
+  options.confidence = request.confidence;
+  options.exec = context_.query_exec;
   std::ostringstream text;
   if (context_.ledger != nullptr) {
+    // Options the query's route would refuse fail before the charge.
+    PCLEAN_ASSIGN_OR_RETURN(ParsedSql parsed, ParseSql(request.sql));
+    PCLEAN_RETURN_NOT_OK(ValidateQueryOptions(
+        PlanQuery(table, parsed,
+                  request.direct ? QueryMode::kDirect : QueryMode::kCorrected),
+        options));
     // Charge-before-execute: the ε price is durable in the WAL before
     // any estimator runs. Concurrent sessions of one tenant serialize
     // on the ledger's atomic check-and-spend, so they can never jointly
@@ -316,9 +325,6 @@ Status Session::HandleQuery(const Frame& frame) {
     text << RenderAdmissionLine(tenant_, ticket,
                                 context_.ledger->BudgetOrZero(tenant_));
   }
-  QueryOptions options;
-  options.confidence = request.confidence;
-  options.exec = context_.query_exec;
   if (request.direct) {
     PCLEAN_ASSIGN_OR_RETURN(
         SqlResultSet rs, ExecuteSqlQueryDirect(table, request.sql,

@@ -10,16 +10,16 @@
 
 namespace privateclean {
 
-/// How the reader cuts CSV text into records before cell typing.
+/// How the reader frames CSV text into records before tokenizing.
 enum class CsvSplitMode {
   /// Speculative split when it can pay off: more than one effective
   /// thread and at least `split_min_bytes` of input; serial otherwise.
   kAuto,
-  /// Always the single-pass serial parser (the reference semantics).
+  /// Always one framing scan over the whole text.
   kSerial,
-  /// Always the two-phase speculative-split parser, even single-threaded.
-  /// The differential fuzz suite forces this (with tiny chunk sizes) to
-  /// prove byte-identical behavior against kSerial.
+  /// Always the chunked speculative split, even single-threaded. The
+  /// differential fuzz suite forces this (with tiny chunk sizes) to prove
+  /// byte-identical behavior against kSerial and the reference parser.
   kSpeculative,
 };
 
@@ -31,13 +31,13 @@ struct CsvOptions {
   bool header = true;
   /// String that encodes NULL (in addition to the empty field).
   std::string null_literal = "";
-  /// Threading (common/thread_pool.h). Cell typing on read and row
-  /// rendering on write are sharded, with per-shard output concatenated
-  /// in shard index order. Record splitting — where quote state carries
-  /// across bytes — is sharded too via the two-phase speculative-split
-  /// parser (see `split`), which resolves per-chunk quote parities
-  /// sequentially and is byte-identical to the serial parser at every
-  /// thread count.
+  /// Threading (common/thread_pool.h). Tokenizing, inference and cell
+  /// typing on read and row rendering on write are sharded, with
+  /// per-shard output merged in shard index order. Record framing —
+  /// where quote state carries across bytes — is sharded too via the
+  /// speculative split (see `split`), which resolves per-chunk quote
+  /// parities sequentially and is byte-identical to one serial scan at
+  /// every thread count.
   ExecutionOptions exec;
   /// Record-splitting strategy. kAuto falls back to serial for inputs
   /// under `split_min_bytes` or when only one thread is effective.
@@ -74,7 +74,9 @@ Status WriteCsvFile(const Table& table, const std::string& path,
 
 /// Parses CSV text into a table with a caller-provided schema. Every
 /// record must have exactly one field per schema column; numeric fields
-/// are parsed strictly. Empty fields (or `null_literal`) become NULL.
+/// are parsed strictly. Unquoted empty fields (or `null_literal`) become
+/// NULL. String codes follow first occurrence in row order. The table
+/// owns its bytes: it never views `text`.
 Result<Table> CsvToTable(const std::string& text, const Schema& schema,
                          const CsvOptions& options = {});
 
@@ -98,15 +100,17 @@ struct CsvRawRecord {
 };
 
 /// Splits CSV text into raw records per `options.split` without typing
-/// cells — the record-splitting stage of CsvToTable, exposed so the
-/// differential fuzz suite can compare the serial and speculative-split
-/// parsers field-for-field (and error-for-error) on arbitrary inputs.
+/// cells: the framing and tokenizer CsvToTable and InferCsvSchema run,
+/// with every field copied out, so the differential fuzz suite can
+/// compare both split modes with a reference parser field-for-field (and
+/// error-for-error) on arbitrary inputs.
 Result<std::vector<CsvRawRecord>> SplitCsvRecords(
     const std::string& text, const CsvOptions& options = {});
 
-/// Infers a schema from CSV text: a column parseable entirely as int64
-/// becomes a numerical int64 field; else entirely as double, a numerical
-/// double field; otherwise a discrete string field. Requires a header row.
+/// Infers a schema from CSV text: a column whose non-NULL cells all parse
+/// as int64 becomes a numerical int64 field; else all as double, a
+/// numerical double field; otherwise (or with no non-NULL cell) a
+/// discrete string field. Reads the whole text. Requires a header row.
 Result<Schema> InferCsvSchema(const std::string& text,
                               const CsvOptions& options = {});
 

@@ -472,6 +472,57 @@ TEST_F(CliTest, QueryWithUnknownRelationIsRejectedWithoutCharge) {
   EXPECT_NE(out_.str().find("spent=0"), std::string::npos) << out_.str();
 }
 
+TEST_F(CliTest, QueryWithInvalidOptionsIsRejectedWithoutCharge) {
+  ASSERT_EQ(Run({"privatize", "--input", csv_path_, "--output",
+                 release_dir_, "--epsilon", "4.0", "--seed", "7"}),
+            0)
+      << err_.str();
+  const std::string ledger = base_ + "/ledger";
+  ASSERT_EQ(Run({"budget", "grant", "--ledger", ledger, "--tenant", "alice",
+                 "--epsilon", "100.0"}),
+            0);
+  ASSERT_EQ(Run({"budget", "show", "--ledger", ledger, "--tenant", "alice"}),
+            0);
+  const std::string before = out_.str();
+  EXPECT_NE(before.find("spent=0"), std::string::npos) << before;
+
+  // A confidence outside (0, 1) on a corrected COUNT, and too few
+  // bootstrap replicates on a MEDIAN: each fails with its usual message
+  // and charges nothing.
+  EXPECT_EQ(Run({"query", "--release", release_dir_, "--confidence", "1.5",
+                 "--sql", "SELECT COUNT(*) FROM r WHERE category = 'a'",
+                 "--ledger", ledger, "--tenant", "alice"}),
+            1);
+  EXPECT_NE(err_.str().find("confidence must be in (0, 1)"),
+            std::string::npos)
+      << err_.str();
+  EXPECT_EQ(out_.str().find("charged epsilon"), std::string::npos);
+  ASSERT_EQ(Run({"budget", "show", "--ledger", ledger, "--tenant", "alice"}),
+            0);
+  EXPECT_EQ(out_.str(), before);
+
+  EXPECT_EQ(Run({"query", "--release", release_dir_, "--bootstrap", "5",
+                 "--sql", "SELECT median(value) FROM r", "--ledger", ledger,
+                 "--tenant", "alice"}),
+            1);
+  EXPECT_NE(err_.str().find("bootstrap needs >= 10 replicates"),
+            std::string::npos)
+      << err_.str();
+  ASSERT_EQ(Run({"budget", "show", "--ledger", ledger, "--tenant", "alice"}),
+            0);
+  EXPECT_EQ(out_.str(), before);
+
+  // The same queries with valid options are charged.
+  ASSERT_EQ(Run({"query", "--release", release_dir_, "--bootstrap", "20",
+                 "--sql", "SELECT median(value) FROM r", "--ledger", ledger,
+                 "--tenant", "alice"}),
+            0)
+      << err_.str();
+  ASSERT_EQ(Run({"budget", "show", "--ledger", ledger, "--tenant", "alice"}),
+            0);
+  EXPECT_NE(out_.str(), before);
+}
+
 TEST_F(CliTest, QueryLedgerAndTenantGoTogether) {
   ASSERT_EQ(Run({"privatize", "--input", csv_path_, "--output",
                  release_dir_, "--epsilon", "4.0", "--seed", "7"}),

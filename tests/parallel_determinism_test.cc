@@ -268,6 +268,7 @@ TEST(ParallelDeterminismTest, CsvWriteAndReadIdenticalAcrossThreadCounts) {
     ByteSink sink;
     sink.AppendString(text);
     sink.AppendTable(parsed);
+    sink.AppendDictionaryCodes(parsed);
     return std::move(sink).Finish();
   });
   // And the sharded writer reproduces the serial byte stream.

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -90,6 +91,22 @@ class ByteSink {
       for (size_t c = 0; c < table.num_columns(); ++c) {
         AppendValue(table.column(c).ValueAt(r));
       }
+    }
+  }
+
+  /// Each string column's dictionary in code order, then its code array
+  /// (kNullCode for NULL rows). AppendTable's boxed cells cannot see code
+  /// order, but it is what a release's dict_<i>.csv persists.
+  void AppendDictionaryCodes(const Table& table) {
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      const Column& column = table.column(c);
+      if (column.type() != ValueType::kString) continue;
+      AppendU64(c);
+      AppendU64(column.dictionary().size());
+      for (std::string_view value : column.dictionary().values()) {
+        AppendString(std::string(value));
+      }
+      for (uint32_t code : column.codes()) AppendU64(code);
     }
   }
 

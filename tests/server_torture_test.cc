@@ -317,6 +317,30 @@ TEST_F(ServerTortureTest, ConcurrentSameTenantChargesAdmitExactlyK) {
   EXPECT_NEAR(Spent("team"), kAdmissible * cost, 1e-6);
 }
 
+TEST_F(ServerTortureTest, InvalidConfidenceIsRejectedBeforeTheCharge) {
+  const double cost = ChargedCost();
+  Grant("carol", 10 * cost);
+  {
+    Server srv = *Server::Start(BaseOptions(NewSocketPath(), true));
+    auto client = Client::Connect(srv.socket_path(), "carol");
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    for (double confidence : {1.5, 0.0, -0.2}) {
+      auto reply = client->Query(kChargedSql, /*direct=*/false, confidence);
+      ASSERT_FALSE(reply.ok());
+      EXPECT_TRUE(reply.status().IsInvalidArgument())
+          << reply.status().ToString();
+      EXPECT_NE(reply.status().message().find("confidence must be in (0, 1)"),
+                std::string::npos)
+          << reply.status().ToString();
+    }
+    // The session survives, and a valid query is charged once.
+    ASSERT_TRUE(client->Query(kChargedSql).ok());
+    ASSERT_TRUE(srv.Drain().ok());
+  }
+  // Only the valid query was charged.
+  EXPECT_NEAR(Spent("carol"), cost, 1e-9);
+}
+
 #ifdef PCLEAN_BINARY
 TEST_F(ServerTortureTest, HardKillMidTrafficKeepsLedgerInvariant) {
   const double cost = ChargedCost();

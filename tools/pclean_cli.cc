@@ -3,9 +3,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <thread>
 
 #include "common/io_util.h"
@@ -91,11 +89,10 @@ Result<MechanismSpec> ParseMechanismFlags(const ParsedArgs& args) {
   return mechanism;
 }
 
-/// --csv-split MODE: record-splitting strategy for CSV ingest. "auto"
-/// (default) uses the speculative-split parallel parser for large inputs
-/// when --threads > 1, "serial" forces the single-pass parser, and
-/// "speculative" forces the parallel parser; output is identical in
-/// every mode.
+/// --csv-split MODE: record-framing strategy for CSV ingest. "auto"
+/// (default) frames large inputs in parallel chunks when --threads > 1,
+/// "serial" forces one framing scan, and "speculative" forces the chunked
+/// scan; output is identical in every mode.
 Result<CsvSplitMode> ParseCsvSplitMode(const ParsedArgs& args) {
   if (!args.Has("csv-split")) return CsvSplitMode::kAuto;
   PCLEAN_ASSIGN_OR_RETURN(std::string mode, args.One("csv-split"));
@@ -192,18 +189,15 @@ Status RunPrivatize(const ParsedArgs& args, std::ostream& out) {
   PCLEAN_ASSIGN_OR_RETURN(std::string input, args.One("input"));
   PCLEAN_ASSIGN_OR_RETURN(std::string output, args.One("output"));
 
-  std::ifstream f(input, std::ios::binary);
-  if (!f) return Status::IOError("cannot open '" + input + "'");
-  std::ostringstream buffer;
-  buffer << f.rdbuf();
-  std::string text = buffer.str();
+  // Bounded retries on transient read errors; a missing file is NotFound.
+  PCLEAN_ASSIGN_OR_RETURN(std::string text, io::ReadFileWithRetry(input));
 
   CsvOptions csv_options;
   csv_options.error_context = input;
   PCLEAN_ASSIGN_OR_RETURN(csv_options.exec, ParseExecOptions(args));
   PCLEAN_ASSIGN_OR_RETURN(csv_options.split, ParseCsvSplitMode(args));
-  // Schema inference splits records with the same options, so a forced
-  // speculative mode covers the whole ingest path.
+  // Schema inference frames records with the same options, so a forced
+  // split mode covers the whole ingest path.
   PCLEAN_ASSIGN_OR_RETURN(Schema schema, InferCsvSchema(text, csv_options));
   PCLEAN_ASSIGN_OR_RETURN(Table table, CsvToTable(text, schema, csv_options));
 
@@ -447,6 +441,13 @@ Status RunQuery(const ParsedArgs& args, std::ostream& out) {
     }
     PCLEAN_ASSIGN_OR_RETURN(std::string ledger_dir, args.One("ledger"));
     PCLEAN_ASSIGN_OR_RETURN(std::string tenant, args.One("tenant"));
+    // Options the query's route would refuse fail here, uncharged.
+    PCLEAN_ASSIGN_OR_RETURN(ParsedSql parsed, ParseSql(sql));
+    PCLEAN_RETURN_NOT_OK(ValidateQueryOptions(
+        PlanQuery(table, parsed,
+                  args.Has("direct") ? QueryMode::kDirect
+                                     : QueryMode::kCorrected),
+        options));
     PCLEAN_ASSIGN_OR_RETURN(BudgetLedger ledger,
                             BudgetLedger::Open(ledger_dir));
     PCLEAN_ASSIGN_OR_RETURN(AdmissionTicket ticket,
